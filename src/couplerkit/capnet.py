@@ -377,7 +377,7 @@ _TOPOLOGY_NAMES = {t.value: t for t in Topology}
 
 
 def load_netlist(source: str | Path | dict) -> CapNetwork:
-    """Build a CapNetwork from a JSON file path, JSON text, or parsed dict.
+    """Build a CapNetwork from JSON text, a ``Path`` to a JSON file, or a parsed dict.
 
     Schema::
 
@@ -390,15 +390,7 @@ def load_netlist(source: str | Path | dict) -> CapNetwork:
     if isinstance(source, dict):
         data = source
     else:
-        if isinstance(source, Path):
-            text = source.read_text()
-        else:
-            text = str(source)
-            try:
-                if "\n" not in text and Path(text).exists():
-                    text = Path(text).read_text()
-            except OSError:
-                pass
+        text = source.read_text() if isinstance(source, Path) else source
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -408,7 +400,7 @@ def load_netlist(source: str | Path | dict) -> CapNetwork:
     if data.get("schema", 1) != 1:
         raise NetlistError(f"unsupported schema version {data.get('schema')!r}")
     topology = data.get("topology")
-    if topology not in _TOPOLOGY_NAMES:
+    if not isinstance(topology, str) or topology not in _TOPOLOGY_NAMES:
         raise NetlistError(
             f"field 'topology' must be one of {sorted(_TOPOLOGY_NAMES)}, "
             f"got {topology!r}"

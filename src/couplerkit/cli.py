@@ -12,11 +12,11 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from . import capnet, effmodel, fitkit, numdiag
+from .effmodel import ModelBuilder
 from .errors import (
     AssumptionViolationError,
     CouplerKitError,
@@ -31,9 +31,8 @@ from .transmon import (
     SystemModel,
     TransmonParams,
     TransmonRole,
-    anharmonicity_from_energies,
-    frequency_from_energies,
     system_model,
+    tune_coupler,
 )
 
 EXIT_OK = 0
@@ -57,12 +56,19 @@ def _round9(obj):
     return obj
 
 
-def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise NetlistError(f"file not found: {path}")
+def _read_file(path: str) -> str:
+    shown = path if path.isprintable() else repr(path)  # keep messages one line
     try:
-        data = json.loads(p.read_text())
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise NetlistError(f"file not found: {shown}") from None
+    except (OSError, ValueError) as exc:
+        raise NetlistError(f"cannot read {shown}: {exc}") from exc
+
+
+def _load_json(path: str) -> dict:
+    try:
+        data = json.loads(_read_file(path))
     except json.JSONDecodeError as exc:
         raise NetlistError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -88,43 +94,49 @@ def _squid_from_config(cfg: dict, where: str) -> SquidParams:
         ) from exc
 
 
-def _model_from_config(cfg: dict) -> tuple[SystemModel, dict]:
-    """Build the base SystemModel plus flux-sweep context from a run config."""
-    context: dict = {}
-    if "model" in cfg:
-        block = cfg["model"]
-        names = [f.name for f in fields(SystemModel)]
-        missing = [n for n in names if n not in block]
-        if missing:
-            raise NetlistError(f"model block missing fields: {', '.join(missing)}")
-        try:
-            base = SystemModel(**{n: float(block[n]) for n in names})
-        except (TypeError, ValueError) as exc:
-            raise NetlistError(f"model block: {exc}") from exc
-        if "coupler_squid" in cfg:
-            context["coupler_squid"] = _squid_from_config(
-                cfg["coupler_squid"], "coupler_squid"
-            )
-            try:
-                context["coupler_ec"] = float(cfg["coupler_ec"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise NetlistError(
-                    "coupler-flux sweeps from a model block need numeric "
-                    "'coupler_ec'"
-                ) from exc
-        return base, context
+def _model_block(cfg: dict) -> tuple[SystemModel, ModelBuilder | None]:
+    """Model block plus its coupler-flux builder (None without 'coupler_squid')."""
+    block = cfg["model"]
+    if not isinstance(block, dict):
+        raise NetlistError("model block must be an object")
+    names = [f.name for f in fields(SystemModel)]
+    missing = [n for n in names if n not in block]
+    if missing:
+        raise NetlistError(f"model block missing fields: {', '.join(missing)}")
+    try:
+        base = SystemModel(**{n: float(block[n]) for n in names})
+    except (TypeError, ValueError) as exc:
+        raise NetlistError(f"model block: {exc}") from exc
+    if "coupler_squid" not in cfg:
+        return base, None
+    squid = _squid_from_config(cfg["coupler_squid"], "coupler_squid")
+    try:
+        e_c = float(cfg["coupler_ec"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise NetlistError(
+            "coupler-flux sweeps from a model block need numeric 'coupler_ec'"
+        ) from exc
+    ej_max = ej_of_flux(squid, 0.0)
 
-    if "netlist" not in cfg:
-        raise NetlistError("config needs a 'model' block or a 'netlist'")
-    net_src = cfg["netlist"]
-    net = capnet.load_netlist(
-        net_src if isinstance(net_src, dict) else str(net_src)
-    )
-    energies = capnet.energies_exact(net)
+    def build(flux_ratio: float) -> SystemModel:
+        ej = ej_of_flux(squid, phase_from_flux_ratio(flux_ratio))
+        return tune_coupler(base, e_c, ej_max, ej)
+
+    return base, build
+
+
+def _netlist_model(cfg: dict) -> tuple[SystemModel, ModelBuilder]:
+    """Model at the configured fluxes plus the coupler-flux builder of a netlist config."""
+    source = cfg["netlist"]
+    if isinstance(source, str):
+        source = _read_file(source)
+    elif not isinstance(source, dict):
+        raise NetlistError("netlist must be a JSON object")
+    energies = capnet.energies_exact(capnet.load_netlist(source))
     squids = cfg.get("squids")
     if not isinstance(squids, dict):
         raise NetlistError("netlist input needs a 'squids' object")
-    trans = {}
+    trans = []
     for key, e_c, role in (
         ("qubit1", energies.ec1, TransmonRole.QUBIT_1),
         ("qubit2", energies.ec2, TransmonRole.QUBIT_2),
@@ -132,32 +144,61 @@ def _model_from_config(cfg: dict) -> tuple[SystemModel, dict]:
     ):
         if key not in squids:
             raise NetlistError(f"squids block missing '{key}'")
-        trans[key] = TransmonParams(
+        trans.append(TransmonParams(
             e_c=e_c, squid=_squid_from_config(squids[key], f"squids.{key}"), role=role
-        )
+        ))
     flux = cfg.get("flux", {})
-    phis = {
-        key: phase_from_flux_ratio(float(flux.get(key, 0.0)))
-        for key in ("qubit1", "qubit2", "coupler")
-    }
-    base = system_model(
-        energies,
-        trans["qubit1"],
-        trans["qubit2"],
-        trans["coupler"],
-        phi_e1=phis["qubit1"],
-        phi_e2=phis["qubit2"],
-        phi_ec=phis["coupler"],
+    if not isinstance(flux, dict):
+        raise NetlistError("flux must be an object")
+    try:
+        x1, x2, xc = (float(flux.get(k, 0.0)) for k in ("qubit1", "qubit2", "coupler"))
+    except (TypeError, ValueError) as exc:
+        raise NetlistError(f"flux entries must be numbers: {exc}") from exc
+    phi1, phi2 = phase_from_flux_ratio(x1), phase_from_flux_ratio(x2)
+
+    def build(flux_ratio: float) -> SystemModel:
+        return system_model(
+            energies, *trans, phi_e1=phi1, phi_e2=phi2,
+            phi_ec=phase_from_flux_ratio(flux_ratio),
+        )
+
+    return build(xc), build
+
+
+def _read_levels(raw) -> tuple[int, int, int]:
+    if isinstance(raw, (list, tuple)):
+        try:
+            levels = tuple(int(n) for n in raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise NetlistError(
+                f"levels must be three comma-separated integers: {exc}"
+            ) from exc
+        if len(levels) == 3:
+            return levels
+    raise NetlistError("levels must be three comma-separated integers")
+
+
+def _read_run(
+    cfg: dict, args: argparse.Namespace
+) -> tuple[ModelBuilder, tuple[float, float], str, tuple[int, int, int]]:
+    """Validate what ``sweep`` and ``find`` share in a run config.
+
+    Returns the builder mapping the sweep variable to a SystemModel, the
+    sweep range, the backend and the truncation levels; command-line
+    ``--backend``/``--levels`` override the config.
+    """
+    backend = args.backend or cfg.get("backend", "effective")
+    if backend not in ("effective", "numeric", "both"):
+        raise NetlistError(f"backend must be effective|numeric|both, got {backend!r}")
+    levels = _read_levels(
+        args.levels.split(",") if args.levels else cfg.get("levels", numdiag.DEFAULT_LEVELS)
     )
-    context["coupler_squid"] = trans["coupler"].squid
-    context["coupler_ec"] = energies.ecc
-    context["netlist_parts"] = (energies, trans, phis)
-    return base, context
-
-
-def _builder_from_config(cfg: dict) -> tuple[Callable[[float], SystemModel], str]:
-    """x -> SystemModel mapping for the sweep variable; returns (builder, variable)."""
-    base, context = _model_from_config(cfg)
+    if "model" in cfg:
+        base, flux_builder = _model_block(cfg)
+    elif "netlist" in cfg:
+        base, flux_builder = _netlist_model(cfg)
+    else:
+        raise NetlistError("config needs a 'model' block or a 'netlist'")
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise NetlistError("config needs a 'sweep' object")
@@ -165,67 +206,30 @@ def _builder_from_config(cfg: dict) -> tuple[Callable[[float], SystemModel], str
     if variable == "coupler-frequency":
         import couplerkit.presets as presets
 
-        return presets.frequency_sweep_builder(base), variable
-    if variable != "coupler-flux":
+        builder = presets.frequency_sweep_builder(base)
+    elif variable != "coupler-flux":
         raise NetlistError(
             f"sweep.variable must be 'coupler-frequency' or 'coupler-flux', "
             f"got {variable!r}"
         )
-    if "netlist_parts" in context:
-        energies, trans, phis = context["netlist_parts"]
-
-        def build(flux_ratio: float) -> SystemModel:
-            return system_model(
-                energies,
-                trans["qubit1"],
-                trans["qubit2"],
-                trans["coupler"],
-                phi_e1=phis["qubit1"],
-                phi_e2=phis["qubit2"],
-                phi_ec=phase_from_flux_ratio(flux_ratio),
-            )
-
-        return build, variable
-    if "coupler_squid" not in context:
+    elif flux_builder is None:
         raise NetlistError(
             "coupler-flux sweeps from a model block need 'coupler_squid' "
             "and 'coupler_ec'"
         )
-    squid = context["coupler_squid"]
-    e_c = context["coupler_ec"]
-    ej0 = ej_of_flux(squid, 0.0)
-
-    def build(flux_ratio: float) -> SystemModel:
-        phi = phase_from_flux_ratio(flux_ratio)
-        ej = ej_of_flux(squid, phi)
-        scale = (ej / ej0) ** 0.25  # = 1/Upsilon, suppresses both rates
-        return SystemModel(
-            omega1=base.omega1,
-            omega2=base.omega2,
-            omegac=frequency_from_energies(e_c, ej),
-            eta1=base.eta1,
-            eta2=base.eta2,
-            etac=anharmonicity_from_energies(e_c, ej),
-            g1c=base.g1c * scale,
-            g2c=base.g2c * scale,
-            g12=base.g12,
-        )
-
-    return build, variable
-
-
-def _parse_levels(text: str) -> tuple[int, int, int]:
+    else:
+        builder = flux_builder
     try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise NetlistError(f"levels must be three comma-separated integers: {exc}")
-    if len(parts) != 3:
-        raise NetlistError("levels must be three comma-separated integers")
-    return parts
+        lo, hi = (float(v) for v in sweep["range"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise NetlistError(f"sweep block needs 'range': [lo, hi]: {exc}") from exc
+    if not lo < hi:
+        raise NetlistError(f"sweep range must satisfy lo < hi, got [{lo}, {hi}]")
+    return builder, (lo, hi), backend, levels
 
 
 def cmd_energies(args: argparse.Namespace) -> int:
-    net = capnet.load_netlist(args.netlist)
+    net = capnet.load_netlist(_read_file(args.netlist))
     exact = capnet.energies_exact(net)
     closed = None
     closed_note = ""
@@ -254,21 +258,13 @@ def cmd_energies(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(cfg: dict, backend: str, levels: tuple[int, int, int]):
-    builder, _ = _builder_from_config(cfg)
-    sweep = cfg["sweep"]
-    try:
-        lo, hi = (float(v) for v in sweep["range"])
-        points = int(sweep["points"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetlistError(f"sweep block needs 'range': [lo, hi] and 'points': {exc}")
-    if not lo < hi:
-        raise NetlistError(f"sweep range must satisfy lo < hi, got [{lo}, {hi}]")
-    if points < 2:
-        raise NetlistError(f"sweep needs at least 2 points, got {points}")
-    quantity = sweep.get("quantity", "both")
-    if quantity not in ("g", "zz", "both"):
-        raise NetlistError(f"sweep.quantity must be g|zz|both, got {quantity!r}")
+def _sweep_rows(
+    builder: ModelBuilder,
+    xs: np.ndarray,
+    quantity: str,
+    backend: str,
+    levels: tuple[int, int, int],
+):
     want_g = quantity in ("g", "both")
     want_zz = quantity in ("zz", "both")
     want_numeric = want_zz and backend in ("numeric", "both")
@@ -278,7 +274,7 @@ def _sweep_rows(cfg: dict, backend: str, levels: tuple[int, int, int]):
     if want_numeric:
         header.append("zeta_numeric_mhz")
     rows = []
-    for x in np.linspace(lo, hi, points):
+    for x in xs:
         cells = {"x_value": _fmt(float(x))}
         try:
             m = builder(float(x))
@@ -312,13 +308,20 @@ def _sweep_rows(cfg: dict, backend: str, levels: tuple[int, int, int]):
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
-    backend = args.backend or cfg.get("backend", "effective")
-    if backend not in ("effective", "numeric", "both"):
-        raise NetlistError(f"backend must be effective|numeric|both, got {backend!r}")
-    levels = _parse_levels(args.levels) if args.levels else tuple(
-        cfg.get("levels", numdiag.DEFAULT_LEVELS)
+    builder, (lo, hi), backend, levels = _read_run(cfg, args)
+    sweep = cfg["sweep"]
+    try:
+        points = int(sweep["points"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise NetlistError(f"sweep block needs 'points': {exc}") from exc
+    if points < 2:
+        raise NetlistError(f"sweep needs at least 2 points, got {points}")
+    quantity = sweep.get("quantity", "both")
+    if quantity not in ("g", "zz", "both"):
+        raise NetlistError(f"sweep.quantity must be g|zz|both, got {quantity!r}")
+    header, rows = _sweep_rows(
+        builder, np.linspace(lo, hi, points), quantity, backend, levels
     )
-    header, rows = _sweep_rows(cfg, backend, levels)
     out = args.out or cfg.get("out")
     text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
     if out:
@@ -330,14 +333,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_find(args: argparse.Namespace) -> int:
-    cfg = _load_json(args.config)
-    builder, _ = _builder_from_config(cfg)
-    sweep = cfg["sweep"]
-    band = tuple(float(v) for v in sweep["range"])
-    levels = _parse_levels(args.levels) if args.levels else tuple(
-        cfg.get("levels", numdiag.DEFAULT_LEVELS)
-    )
-    backend = args.backend or cfg.get("backend", "effective")
+    builder, band, backend, levels = _read_run(_load_json(args.config), args)
     if args.target == "g":
         try:
             root = effmodel.find_zero_g(builder, band)
@@ -358,7 +354,7 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
-    data = fitkit.GFluxDataset.from_csv(args.dataset)
+    data = fitkit.GFluxDataset.from_csv(_read_file(args.dataset))
     init_block = cfg.get("init")
     if not isinstance(init_block, dict):
         raise NetlistError("fit config needs an 'init' object")
@@ -445,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NetlistError, AssumptionViolationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (UnderdeterminedFitError, ValueError) as exc:
+    except (UnderdeterminedFitError, ValueError, ArithmeticError) as exc:
         if args.command == "fit":
             print(f"fit error: {exc}", file=sys.stderr)
             return EXIT_FIT

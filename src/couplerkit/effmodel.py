@@ -15,7 +15,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoRootError, ResonanceError
-from .squid import SquidParams, upsilon
 from .transmon import SystemModel
 
 DEFAULT_RESONANCE_FLOOR = 1e-3   # GHz
@@ -128,19 +127,14 @@ def dressed_frequencies(
 
 
 def zz_perturbative(
-    m: SystemModel,
-    coupler_squid: SquidParams | None = None,
-    phi_ec: float = 0.0,
-    resonance_floor: float = DEFAULT_RESONANCE_FLOOR,
+    m: SystemModel, resonance_floor: float = DEFAULT_RESONANCE_FLOOR
 ) -> ZZBreakdown:
     """Perturbative ZZ interaction zeta = zeta2 + zeta34.
 
     zeta2 = -2 g12^2 (eta1 + eta2) / [(D12 - eta1)(D12 + eta2)] is flux
-    independent.  zeta34 carries the explicit 1/Upsilon^2 and 1/Upsilon^4
-    coupling-suppression factors; when ``coupler_squid`` is given the model's
-    g1c/g2c are interpreted as their zero-flux values and Upsilon is evaluated
-    at ``phi_ec``, otherwise Upsilon = 1 (equivalently, pass couplings already
-    scaled to the operating flux).
+    independent.  zeta34 carries the coupler-mediated terms; the model's
+    g1c/g2c must already include the flux suppression by 1/Upsilon, as
+    models from ``transmon.tune_coupler`` or ``transmon.system_model`` do.
     """
     d12 = m.omega1 - m.omega2
     d1, d2 = m.omegac - m.omega1, m.omegac - m.omega2
@@ -153,17 +147,15 @@ def zz_perturbative(
 
     zeta2 = -2.0 * m.g12**2 * (m.eta1 + m.eta2) / ((d12 - m.eta1) * (d12 + m.eta2))
 
-    ups = 1.0 if coupler_squid is None else upsilon(coupler_squid, phi_ec)
-    u2, u4 = ups**2, ups**4
     gg = m.g1c * m.g2c
     zeta34 = (
-        -2.0 * m.g12 * gg / u2 * (
+        -2.0 * m.g12 * gg * (
             (1.0 / d2) * (1.0 / d12 + 2.0 / (-d12 + m.eta1))
             + (1.0 / d1) * (2.0 / (d12 + m.eta2) - 1.0 / d12)
         )
-        - 2.0 * gg**2 / ((d1 + d2 + m.etac) * u4) * (1.0 / d1 + 1.0 / d2) ** 2
-        + gg**2 / (d1**2 * u4) * (2.0 / (d12 + m.eta2) - 1.0 / d12 + 1.0 / d2)
-        + gg**2 / (d2**2 * u4) * (2.0 / (-d12 + m.eta1) + 1.0 / d12 + 1.0 / d1)
+        - 2.0 * gg**2 / (d1 + d2 + m.etac) * (1.0 / d1 + 1.0 / d2) ** 2
+        + gg**2 / d1**2 * (2.0 / (d12 + m.eta2) - 1.0 / d12 + 1.0 / d2)
+        + gg**2 / d2**2 * (2.0 / (-d12 + m.eta1) + 1.0 / d12 + 1.0 / d1)
     )
     return ZZBreakdown(zeta2=zeta2, zeta34=zeta34, delta12=d12)
 

@@ -28,19 +28,6 @@ from .transmon import frequency_from_energies
 CSV_HEADER = ["phi_over_phi0", "g_mhz", "sign", "omega1_ghz", "omega2_ghz"]
 
 
-def _read_if_path(source) -> str:
-    """Treat ``source`` as a file path when one exists, else as literal text."""
-    if isinstance(source, Path):
-        return source.read_text()
-    text = str(source)
-    if "\n" not in text:
-        try:
-            if Path(text).exists():
-                return Path(text).read_text()
-        except OSError:
-            pass
-    return text
-
 FIT_PARAMETER_NAMES = (
     "g12_mhz",
     "g1c_g2c_mhz2",
@@ -103,9 +90,10 @@ class GFluxDataset:
     def from_csv(cls, source: str | Path) -> "GFluxDataset":
         """Read `phi_over_phi0,g_mhz,sign,omega1_ghz,omega2_ghz` rows.
 
-        An empty sign cell means magnitude-only.
+        ``source`` is CSV text, or a ``Path`` to read it from.  An empty sign
+        cell means magnitude-only.
         """
-        text = _read_if_path(source)
+        text = source.read_text() if isinstance(source, Path) else source
         reader = csv.reader(io.StringIO(text))
         try:
             header = next(reader)

@@ -18,6 +18,7 @@ from .transmon import (
     anharmonicity_from_energies,
     ej_for_frequency,
     frequency_from_energies,
+    tune_coupler,
 )
 
 
@@ -148,30 +149,28 @@ def frequency_sweep_builder(base: SystemModel) -> ModelBuilder:
 def device_flux_builder(device: ReferenceDevice, resonant: bool = True) -> ModelBuilder:
     """Builder mapping a coupler frequency to the flux-consistent model.
 
-    The requested coupler frequency is converted to a SQUID flux; the
-    coupler anharmonicity follows the flux-dependent Josephson energy and
-    the qubit-coupler rates are suppressed by 1/Upsilon relative to their
-    zero-flux anchors.  ``resonant`` puts both qubits at the measurement
-    resonance; otherwise they sit at their sweet spots.
+    The requested coupler frequency is converted to a SQUID Josephson energy
+    and the device's zero-flux model is tuned there by ``tune_coupler``.
+    ``resonant`` puts both qubits at the measurement resonance; otherwise
+    they sit at their sweet spots.
     """
     squid = device.coupler_squid
+    e_c, ej_max = device.coupler_ec, squid.ej_sum
     mag = abs(device.g1c_g2c) ** 0.5
-    sign2 = -1.0 if device.g1c_g2c > 0 else 1.0
     if resonant:
         w1 = w2 = device.resonance
     else:
         w1, w2 = device.omega1_max, device.omega2_max
+    base = SystemModel(
+        omega1=w1, omega2=w2, omegac=frequency_from_energies(e_c, ej_max),
+        eta1=device.eta1, eta2=device.eta2,
+        etac=anharmonicity_from_energies(e_c, ej_max),
+        g1c=-mag, g2c=-mag if device.g1c_g2c > 0 else mag, g12=device.g12,
+    )
 
     def build(omegac: float) -> SystemModel:
-        ejc = ej_for_frequency(device.coupler_ec, omegac)
-        flux_for_ej(squid, ejc)  # domain check: frequency must be reachable
-        scale = (ejc / squid.ej_sum) ** 0.25  # = 1/Upsilon
-        return SystemModel(
-            omega1=w1, omega2=w2,
-            omegac=frequency_from_energies(device.coupler_ec, ejc),
-            eta1=device.eta1, eta2=device.eta2,
-            etac=anharmonicity_from_energies(device.coupler_ec, ejc),
-            g1c=-mag * scale, g2c=sign2 * mag * scale, g12=device.g12,
-        )
+        ej = ej_for_frequency(e_c, omegac)
+        flux_for_ej(squid, ej)  # domain check: frequency must be reachable
+        return tune_coupler(base, e_c, ej_max, ej)
 
     return build

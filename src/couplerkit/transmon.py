@@ -201,3 +201,19 @@ def system_model(
         g2c=g2c,
         g12=g12,
     )
+
+
+def tune_coupler(base: SystemModel, e_c: float, ej_max: float, ej: float) -> SystemModel:
+    """``base`` with its coupler SQUID tuned from ``ej_max`` down to ``ej``.
+
+    The coupler frequency and anharmonicity follow from (``e_c``, ``ej``);
+    g1c and g2c, given in ``base`` at ``ej_max``, are suppressed by
+    1/Upsilon = (ej/ej_max)^(1/4).  Qubit parameters and g12 are unchanged.
+    """
+    omegac = frequency_from_energies(e_c, ej)
+    scale = (ej / ej_max) ** 0.25
+    return SystemModel(
+        omega1=base.omega1, omega2=base.omega2, omegac=omegac,
+        eta1=base.eta1, eta2=base.eta2, etac=anharmonicity_from_energies(e_c, ej),
+        g1c=base.g1c * scale, g2c=base.g2c * scale, g12=base.g12,
+    )

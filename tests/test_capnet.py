@@ -91,6 +91,11 @@ class TestNetlistJson:
         with pytest.raises(NetlistError, match="topology"):
             load_netlist({"capacitors": [{"a": 1, "b": 2, "fF": 3.0}]})
 
+    def test_non_string_topology(self):
+        with pytest.raises(NetlistError, match="topology"):
+            load_netlist({"topology": ["floating-floating"],
+                          "capacitors": [{"a": 1, "b": 2, "fF": 3.0}]})
+
     def test_bad_capacitor_entry(self):
         with pytest.raises(NetlistError, match=r"capacitors\[0\]"):
             load_netlist({"topology": "floating-floating", "capacitors": [{"a": 1}]})

@@ -1,9 +1,13 @@
+import contextlib
+import copy
 import csv
 import io
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import couplerkit as ck
 from couplerkit.capnet import netlist_to_dict
@@ -343,3 +347,195 @@ class TestNetlistRoute:
         rc, _, err = run(capsys, "sweep", "--config", path)
         assert rc == 2
         assert "squids" in err
+
+
+def assert_input_error(rc, err, text):
+    assert rc == 2
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert text in err
+
+
+def model_run(**extra):
+    cfg = {
+        "schema": 1,
+        "model": model_block(FLOATING_DESIGN_RATES_SYMMETRIC),
+        "sweep": {"quantity": "g", "range": [2.77, 4.0], "points": 5},
+    }
+    cfg.update(extra)
+    return cfg
+
+
+def netlist_run(**extra):
+    net = floating_coupler_design(True)
+    e = ck.energies_exact(net)
+    cfg = {
+        "schema": 1,
+        "netlist": netlist_to_dict(net),
+        "squids": {
+            "qubit1": {"ej_sum": ck.ej_for_frequency(e.ec1, 4.58)},
+            "qubit2": {"ej_sum": ck.ej_for_frequency(e.ec2, 4.64)},
+            "coupler": {"ej_sum": ck.ej_for_frequency(e.ecc, 6.041)},
+        },
+        "sweep": {"quantity": "g", "variable": "coupler-flux",
+                  "range": [0.05, 0.45], "points": 5},
+    }
+    cfg.update(extra)
+    return cfg
+
+
+COMMANDS = [("sweep",), ("find", "--target", "g")]
+
+
+class TestRunConfigErrors:
+    @pytest.mark.parametrize("cfg, text", [
+        (model_run(levels=5), "levels must be three"),
+        (model_run(model=5), "model block must be an object"),
+        (netlist_run(flux=[]), "flux must be an object"),
+        (netlist_run(flux={"qubit1": None}), "flux entries must be numbers"),
+        (netlist_run(netlist="no-such-netlist.json"), "file not found: no-such-netlist.json"),
+        (netlist_run(squids={"qubit1": {"ej_sum": 1e200}, "qubit2": {"ej_sum": 15.0},
+                             "coupler": {"ej_sum": 28.0}}), "out of range"),
+    ])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_malformed_config_exit_2(self, tmp_path, capsys, monkeypatch, cfg, text, command):
+        monkeypatch.chdir(tmp_path)
+        path = write_json(tmp_path, "cfg.json", cfg)
+        rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
+        assert out == ""
+        assert_input_error(rc, err, text)
+
+    def test_find_without_range(self, tmp_path, capsys):
+        cfg = model_run()
+        del cfg["sweep"]["range"]
+        path = write_json(tmp_path, "cfg.json", cfg)
+        rc, _, err = run(capsys, "find", "--config", path, "--target", "g")
+        assert_input_error(rc, err, "'range'")
+
+    def test_find_rejects_config_backend(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cfg.json", model_run(backend="magic"))
+        rc, _, err = run(capsys, "find", "--config", path, "--target", "g")
+        assert_input_error(rc, err, "backend must be effective|numeric|both")
+
+    def test_find_needs_no_points_or_quantity(self, tmp_path, capsys):
+        cfg = model_run()
+        cfg["sweep"] = {"range": [2.77, 4.0]}
+        path = write_json(tmp_path, "cfg.json", cfg)
+        rc, out, _ = run(capsys, "find", "--config", path, "--target", "g")
+        assert rc == 0
+        assert float(out) == pytest.approx(3.5288, abs=2e-3)
+
+    def test_netlist_path_relative_to_working_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, "net.json", netlist_to_dict(floating_coupler_design(True)))
+        inline = write_json(tmp_path, "inline.json", netlist_run())
+        by_path = write_json(tmp_path, "by_path.json", netlist_run(netlist="net.json"))
+        assert run(capsys, "sweep", "--config", inline) == run(
+            capsys, "sweep", "--config", by_path
+        )
+
+
+class TestMissingFiles:
+    def test_netlist_argument(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        rc, _, err = run(capsys, "energies", missing)
+        assert_input_error(rc, err, f"file not found: {missing}")
+
+    def test_dataset(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "fit.json", {"schema": 1, "init": {}})
+        missing = str(tmp_path / "nope.csv")
+        rc, _, err = run(capsys, "fit", missing, "--config", cfg)
+        assert_input_error(rc, err, f"file not found: {missing}")
+
+
+# -- property test of the run-config reader ------------------------------------
+
+def _key_paths(obj, prefix=()):
+    """Path of every value nested in a JSON-like config."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+def _too_many_points(value):
+    try:
+        return int(value) > 50
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
+)
+REPLACEMENTS = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
+CONFIG_NAMES = itertools.count()
+
+
+@pytest.fixture(scope="module")
+def fuzz_runs(tmp_path_factory):
+    """Valid sweep/find configs on the model-block and netlist routes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    net_path = root / "net.json"
+    net_path.write_text(json.dumps(netlist_to_dict(floating_coupler_design(False))))
+    dev = ASYMMETRIC_DEVICE
+    flux_model = {
+        "schema": 1,
+        "model": model_block(FLOATING_DESIGN_RATES_ASYMMETRIC, omegac=dev.omegac_max,
+                             omega1=dev.omega1_max, omega2=dev.omega2_max),
+        "coupler_squid": {"ej_sum": dev.coupler_squid.ej_sum, "asymmetry": 0.0},
+        "coupler_ec": dev.coupler_ec,
+        "sweep": {"quantity": "both", "variable": "coupler-flux",
+                  "range": [0.0, 0.345], "points": 10},
+    }
+    runs = [
+        model_run(backend="effective", levels=[3, 3, 3]),
+        flux_model,
+        netlist_run(flux={"qubit1": 0.05, "qubit2": 0.1, "coupler": 0.0}),
+        netlist_run(netlist=str(net_path), levels=[3, 4, 3]),
+    ]
+    return root, runs
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_mutated_run_config_fails_cleanly(fuzz_runs, data):
+    """A dropped key or a null/string/list/number value gives exit 0, 2 or 3;
+    a failure prints one message, and an exception escaping main fails the test."""
+    root, runs = fuzz_runs
+    cfg = copy.deepcopy(data.draw(st.sampled_from(runs)))
+    *parents, key = data.draw(st.sampled_from(list(_key_paths(cfg))))
+    holder = cfg
+    for p in parents:
+        holder = holder[p]
+    if isinstance(holder, dict) and data.draw(st.booleans()):
+        del holder[key]
+    else:
+        values = REPLACEMENTS
+        if key == "points":  # keep sweeps short
+            values = values.filter(lambda v: not _too_many_points(v))
+        holder[key] = data.draw(values)
+    # a new file per example: truncating a just-written file can force a flush
+    cfg_path = root / f"cfg-{next(CONFIG_NAMES)}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    command = data.draw(st.sampled_from(
+        [("sweep",), ("find", "--target", "g"), ("find", "--target", "zz")]
+    ))
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command[0], "--config", str(cfg_path), *command[1:]])
+    if rc != 0:
+        assert rc in (2, 3)
+        # skipped sweep rows warn before a later row fails
+        messages = [
+            line for line in err.getvalue().splitlines() if not line.startswith("warning: ")
+        ]
+        assert len(messages) == 1, err.getvalue()
+        assert messages[0].startswith(
+            ("input error: ", "error: ", "no root: ", "no zz roots")
+        ), messages

@@ -7,6 +7,7 @@ from couplerkit import (
     FluxDomainError,
     ModeEnergies,
     SquidParams,
+    SystemModel,
     TransmonParams,
     TransmonRole,
     anharmonicity_from_energies,
@@ -15,9 +16,11 @@ from couplerkit import (
     frequency_from_energies,
     system_model,
     transmon_frequency,
+    tune_coupler,
     zpf,
     zpf_from_energies,
 )
+from couplerkit.presets import ASYMMETRIC_DEVICE, SYMMETRIC_DEVICE, device_flux_builder
 
 
 def charge_basis_f01(e_c: float, e_j: float, ncut: int = 40) -> float:
@@ -187,3 +190,43 @@ class TestSystemModel:
         assert (s.omega1, s.omega2) == (m.omega2, m.omega1)
         assert (s.g1c, s.g2c) == (m.g2c, m.g1c)
         assert s.omegac == m.omegac and s.g12 == m.g12
+
+
+class TestTuneCoupler:
+    BASE = SystemModel(
+        omega1=4.58, omega2=4.64, omegac=6.0, eta1=0.23, eta2=0.233,
+        etac=0.19, g1c=-0.085, g2c=0.098, g12=-5.8e-3,
+    )
+
+    def test_untuned_keeps_rates(self):
+        m = tune_coupler(self.BASE, 0.175, 28.0, 28.0)
+        assert (m.g1c, m.g2c, m.g12) == (self.BASE.g1c, self.BASE.g2c, self.BASE.g12)
+        assert m.omegac == frequency_from_energies(0.175, 28.0)
+        assert m.etac == anharmonicity_from_energies(0.175, 28.0)
+
+    @pytest.mark.parametrize("ej", [2.0, 9.5, 27.0])
+    def test_rates_scale_by_quarter_power(self, ej):
+        m = tune_coupler(self.BASE, 0.175, 28.0, ej)
+        scale = (ej / 28.0) ** 0.25
+        assert m.g1c == pytest.approx(self.BASE.g1c * scale, rel=1e-15)
+        assert m.g2c == pytest.approx(self.BASE.g2c * scale, rel=1e-15)
+        assert (m.omega1, m.omega2, m.eta1, m.eta2, m.g12) == (
+            self.BASE.omega1, self.BASE.omega2, self.BASE.eta1, self.BASE.eta2,
+            self.BASE.g12,
+        )
+        assert m.omegac == frequency_from_energies(0.175, ej)
+
+    def test_vanishing_ej_rejected(self):
+        with pytest.raises(FluxDomainError):
+            tune_coupler(self.BASE, 0.175, 28.0, 0.0)
+
+    @pytest.mark.parametrize("device", [SYMMETRIC_DEVICE, ASYMMETRIC_DEVICE])
+    @pytest.mark.parametrize("resonant", [True, False])
+    def test_device_flux_builder_is_tune_coupler(self, device, resonant):
+        build = device_flux_builder(device, resonant)
+        zero_flux = build(device.omegac_max)
+        assert zero_flux.g1c * zero_flux.g2c == pytest.approx(device.g1c_g2c, rel=1e-12)
+        ej_max = device.coupler_squid.ej_sum
+        for wc in np.linspace(device.omegac_max - 3.0, device.omegac_max, 7):
+            ej = ej_for_frequency(device.coupler_ec, wc)
+            assert build(wc) == tune_coupler(zero_flux, device.coupler_ec, ej_max, ej)
