@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NoRootError, ResonanceError
+from .errors import FluxDomainError, NoRootError, ResonanceError
 from .transmon import SystemModel
 
 DEFAULT_RESONANCE_FLOOR = 1e-3   # GHz
@@ -174,8 +174,8 @@ def _scan(
     for i, x in enumerate(xs):
         try:
             ys[i] = f(x)
-        except ResonanceError:
-            ys[i] = np.nan
+        except (ResonanceError, FluxDomainError):
+            ys[i] = np.nan  # a pole, or a flux where the builder has no model
     return xs, ys
 
 
@@ -200,8 +200,8 @@ def _refine_brackets(
         try:
             root = brentq(f, xs[i], xs[i + 1], xtol=tol)
             value = f(root)
-        except ResonanceError:
-            continue  # bracket straddles a resonance pole, not a root
+        except (ResonanceError, FluxDomainError):
+            continue  # bracket straddles a resonance pole or a flux-domain edge
         # a genuine root has |f| far below the bracket values; a pole blows up
         if abs(value) <= min(abs(ya), abs(yb)):
             roots.append(float(root))

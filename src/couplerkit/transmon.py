@@ -151,9 +151,26 @@ def coupling_rates(
     g_jk = (E_jk / sqrt(2)) (EJj/ECj * EJk/ECk)^(1/4), optionally times the
     [1 - (xi_j + xi_k)/8] correction; signs are inherited from the energies.
     """
-    ej1 = ej_of_flux(q1.squid, phi_e1)
-    ej2 = ej_of_flux(q2.squid, phi_e2)
-    ejc = ej_of_flux(c.squid, phi_ec)
+    return _coupling_rates_at(
+        e, q1, q2, c,
+        ej_of_flux(q1.squid, phi_e1),
+        ej_of_flux(q2.squid, phi_e2),
+        ej_of_flux(c.squid, phi_ec),
+        use_xi_correction,
+    )
+
+
+def _coupling_rates_at(
+    e: ModeEnergies,
+    q1: TransmonParams,
+    q2: TransmonParams,
+    c: TransmonParams,
+    ej1: float,
+    ej2: float,
+    ejc: float,
+    use_xi_correction: bool,
+) -> tuple[float, float, float]:
+    """``coupling_rates`` at given Josephson energies of the three modes."""
     for ej in (ej1, ej2, ejc):
         _require_positive_ej(ej)
     r1, r2, rc = ej1 / q1.e_c, ej2 / q2.e_c, ejc / c.e_c
@@ -187,9 +204,7 @@ def system_model(
     ej1 = ej_of_flux(q1.squid, phi_e1)
     ej2 = ej_of_flux(q2.squid, phi_e2)
     ejc = ej_of_flux(c.squid, phi_ec)
-    g1c, g2c, g12 = coupling_rates(
-        e, q1, q2, c, phi_e1, phi_e2, phi_ec, use_xi_correction
-    )
+    g1c, g2c, g12 = _coupling_rates_at(e, q1, q2, c, ej1, ej2, ejc, use_xi_correction)
     return SystemModel(
         omega1=frequency_from_energies(q1.e_c, ej1),
         omega2=frequency_from_energies(q2.e_c, ej2),

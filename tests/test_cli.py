@@ -241,6 +241,29 @@ class TestFind:
         roots = [float(line) for line in out.strip().splitlines()]
         assert len(roots) == 2  # two flux ratios where zz vanishes
 
+    @pytest.mark.parametrize("target", ["g", "zz"])
+    def test_flux_domain_edge_is_skipped(self, tmp_path, capsys, target):
+        # a symmetric SQUID has EJ = 0 at half a flux quantum, which the sweep
+        # blanks; the prescan must skip that point instead of aborting
+        dev = ASYMMETRIC_DEVICE
+        cfg = {
+            "schema": 1,
+            "model": model_block(FLOATING_DESIGN_RATES_SYMMETRIC,
+                                 omegac=dev.omegac_max),
+            "coupler_squid": {"ej_sum": dev.coupler_squid.ej_sum,
+                              "asymmetry": 0.0},
+            "coupler_ec": dev.coupler_ec,
+            "sweep": {"quantity": target, "variable": "coupler-flux",
+                      "range": [0.0, 0.5], "points": 50},
+        }
+        path = write_json(tmp_path, "cfg.json", cfg)
+        rc, _, err = run(capsys, "sweep", "--config", path)
+        assert rc == 0 and "Josephson energy must be positive" in err
+        rc, out, err = run(capsys, "find", "--config", path, "--target", target)
+        assert rc in (0, 3)
+        assert "Josephson energy" not in err
+        assert (rc == 0) == bool(out.strip())
+
 
 class TestFit:
     def make_dataset(self, tmp_path, rows=25, noise=0.0):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from couplerkit import (
     LabelingError,
@@ -210,3 +211,92 @@ class TestGNumeric:
                   g12=0.0)
         with pytest.raises(LabelingError):
             g_numeric(m, (4, 4, 4))
+
+
+def _matmul_hamiltonian(m, levels):
+    """Dense reference: kron ladder operators, products taken per call."""
+    n1, nc, n2 = levels
+
+    def lower(n):
+        return np.diag(np.sqrt(np.arange(1, n)), k=1)
+
+    i1, ic, i2 = np.eye(n1), np.eye(nc), np.eye(n2)
+    a1 = np.kron(np.kron(lower(n1), ic), i2)
+    ac = np.kron(np.kron(i1, lower(nc)), i2)
+    a2 = np.kron(np.kron(i1, ic), lower(n2))
+    h = np.zeros_like(a1)
+    for a, w, eta in ((a1, m.omega1, m.eta1), (ac, m.omegac, m.etac),
+                      (a2, m.omega2, m.eta2)):
+        h += w * (a.T @ a) - 0.5 * eta * (a.T @ a.T @ a @ a)
+    for aa, ab, g in ((a1, ac, m.g1c), (a2, ac, m.g2c), (a1, a2, m.g12)):
+        h += g * (aa @ ab.T + aa.T @ ab - aa @ ab - aa.T @ ab.T)
+    return 0.5 * (h + h.T)
+
+
+def _reference_zz(m, levels):
+    """(zeta or None, worst overlap, conditioning): every eigenstate is
+    labelled by its largest bare-state weight, and each computational label
+    takes the eigenstate it dominates with the largest weight (0 if none).
+
+    Conditioning is the smallest level spacing (GHz) and the smallest lead of
+    an eigenstate's largest weight over its second largest.
+    """
+    energies, vectors = np.linalg.eigh(_matmul_hamiltonian(m, levels))
+    weights = vectors**2
+    top_two = np.sort(weights, axis=0)[-2:]
+    conditioning = np.min(np.diff(energies)), np.min(top_two[1] - top_two[0])
+    dominant = np.argmax(weights, axis=0)
+    _, nc, n2 = levels
+    found, worst = {}, 1.0
+    for k1, k2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        row = k1 * nc * n2 + k2
+        owned = np.flatnonzero(dominant == row)
+        if owned.size == 0:
+            return None, 0.0, conditioning
+        best = owned[np.argmax(weights[row, owned])]
+        worst = min(worst, weights[row, best])
+        found[k1, k2] = energies[best]
+    if worst <= 0.5:
+        return None, worst, conditioning
+    zz = found[1, 1] - found[1, 0] - found[0, 1] + found[0, 0]
+    return zz, worst, conditioning
+
+
+_frequency = st.floats(3.0, 7.0)
+_coupling = st.floats(-0.15, 0.15)
+
+
+@st.composite
+def _models(draw):
+    w1 = draw(_frequency)
+    # one draw in three puts all three modes within 30 MHz of each other
+    if draw(st.integers(0, 2)) == 0:
+        near = st.floats(-0.03, 0.03)
+        wc, w2 = w1 + draw(near), w1 + draw(near)
+    else:
+        wc, w2 = draw(_frequency), draw(_frequency)
+    etas = [draw(st.floats(0.1, 0.35)) for _ in range(3)]
+    return SystemModel(omega1=w1, omega2=w2, omegac=wc, eta1=etas[0],
+                       eta2=etas[1], etac=etas[2], g1c=draw(_coupling),
+                       g2c=draw(_coupling), g12=draw(_coupling))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_models(), levels=st.tuples(*[st.integers(2, 7)] * 3))
+def test_sector_diagonalization_matches_dense_reference(m, levels):
+    h = build_hamiltonian(m, levels)
+    assert np.max(np.abs(h.matrix - _matmul_hamiltonian(m, levels))) <= 1e-12
+    parity = np.add.reduce(np.indices(levels)).ravel() % 2
+    assert not np.any(h.matrix[np.ix_(parity == 0, parity == 1)])
+
+    ref, worst, (spacing, lead) = _reference_zz(m, levels)
+    # rounding decides the outcome at the threshold, where an eigenstate's two
+    # largest weights tie, and where levels nearly coincide: eigenvectors are
+    # determined only to ~eps |H| / spacing, so below 1e-6 GHz a weight is not
+    # defined to 1e-9 in either calculation
+    assume(abs(worst - 0.5) > 1e-9 and lead > 1e-9 and spacing > 1e-6)
+    if ref is None:
+        with pytest.raises(LabelingError):
+            zz_numeric(m, levels)
+    else:
+        assert abs(zz_numeric(m, levels) - ref) <= 1e-12

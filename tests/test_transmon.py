@@ -13,6 +13,7 @@ from couplerkit import (
     anharmonicity_from_energies,
     coupling_rates,
     ej_for_frequency,
+    ej_of_flux,
     frequency_from_energies,
     system_model,
     transmon_frequency,
@@ -190,6 +191,57 @@ class TestSystemModel:
         assert (s.omega1, s.omega2) == (m.omega2, m.omega1)
         assert (s.g1c, s.g2c) == (m.g2c, m.g1c)
         assert s.omegac == m.omegac and s.g12 == m.g12
+
+    def test_each_squid_energy_evaluated_once(self, monkeypatch):
+        from couplerkit import transmon
+
+        calls = []
+
+        def counting(p, phi_e):
+            calls.append(phi_e)
+            return ej_of_flux(p, phi_e)
+
+        monkeypatch.setattr(transmon, "ej_of_flux", counting)
+        e = ModeEnergies(ec1=0.184, ec2=0.184, ecc=0.175, e12=-0.0012,
+                         e1c=-0.0132, e2c=0.0132)
+        system_model(e, *three_transmons(), 0.1, 0.2, 0.3)
+        assert len(calls) == 3
+
+    def test_matches_rate_formula_bit_for_bit(self):
+        # the rate formula written out in its original operation order
+        def rate(e_jk, eca, eja, ecb, ejb):
+            g = e_jk / math.sqrt(2.0) * ((eja / eca) * (ejb / ecb)) ** 0.25
+            xa = math.sqrt(2.0 * eca / eja)
+            xb = math.sqrt(2.0 * ecb / ejb)
+            return g * (1.0 - (xa + xb) / 8.0)
+
+        e = ModeEnergies(ec1=0.184, ec2=0.19, ecc=0.175, e12=-0.0012,
+                         e1c=-0.0132, e2c=0.0141)
+        q1 = make_transmon(0.184, 19.0, TransmonRole.QUBIT_1, d=0.3)
+        q2 = make_transmon(0.19, 18.0, TransmonRole.QUBIT_2, d=0.1)
+        c = make_transmon(0.175, 40.0, TransmonRole.COUPLER, d=0.2)
+        for phi1, phi2, phic in zip(np.linspace(0.0, 3.0, 13),
+                                    np.linspace(0.5, -2.0, 13),
+                                    np.linspace(-1.0, 3.1, 13)):
+            ej1 = ej_of_flux(q1.squid, phi1)
+            ej2 = ej_of_flux(q2.squid, phi2)
+            ejc = ej_of_flux(c.squid, phic)
+            want = (
+                frequency_from_energies(q1.e_c, ej1),
+                frequency_from_energies(q2.e_c, ej2),
+                frequency_from_energies(c.e_c, ejc),
+                anharmonicity_from_energies(q1.e_c, ej1),
+                anharmonicity_from_energies(q2.e_c, ej2),
+                anharmonicity_from_energies(c.e_c, ejc),
+                rate(e.e1c, q1.e_c, ej1, c.e_c, ejc),
+                rate(e.e2c, q2.e_c, ej2, c.e_c, ejc),
+                rate(e.e12, q1.e_c, ej1, q2.e_c, ej2),
+            )
+            m = system_model(e, q1, q2, c, phi1, phi2, phic)
+            got = (m.omega1, m.omega2, m.omegac, m.eta1, m.eta2, m.etac,
+                   m.g1c, m.g2c, m.g12)
+            assert [x.hex() for x in got] == [float(x).hex() for x in want]
+            assert coupling_rates(e, q1, q2, c, phi1, phi2, phic) == got[6:]
 
 
 class TestTuneCoupler:
