@@ -365,9 +365,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         raise NetlistError(f"init block: {exc}") from exc
     free = tuple(cfg.get("free", fitkit.DEFAULT_FREE))
-    result = fitkit.fit_g_vs_flux(
-        data, init, free=free, refine=bool(cfg.get("refine", True))
-    )
+    result = fitkit.fit_g_vs_flux(data, init, free=free)
     payload = _round9(
         {
             "schema": 1,

@@ -20,6 +20,9 @@ from .transmon import SystemModel
 DEFAULT_RESONANCE_FLOOR = 1e-3   # GHz
 ROOT_TOLERANCE = 1e-6            # GHz, 1 kHz
 PRESCAN_POINTS = 200
+# |g_jc/Delta_j| above which dressed_frequencies warns, and at which it refuses
+DISPERSIVE_WARN_RATIO = 0.3
+DISPERSIVE_MAX_RATIO = 0.5
 
 
 @dataclass(frozen=True)
@@ -77,10 +80,7 @@ def g_net(m: SystemModel, resonance_floor: float = DEFAULT_RESONANCE_FLOOR) -> E
 
 
 def dressed_frequencies(
-    m: SystemModel,
-    resonance_floor: float = DEFAULT_RESONANCE_FLOOR,
-    warn_ratio: float = 0.3,
-    max_ratio: float = 0.5,
+    m: SystemModel, resonance_floor: float = DEFAULT_RESONANCE_FLOOR
 ) -> DressedFrequencies:
     """Coupler-dressed 01 and 02 qubit frequencies to second order in g_jc.
 
@@ -105,12 +105,12 @@ def dressed_frequencies(
         _check_floor(f"Sigma_{tag} - eta_{tag}", s - eta, resonance_floor)
         _check_floor(f"Sigma_{tag} - 2 eta_{tag}", s - 2 * eta, resonance_floor)
         ratio = abs(g / d)
-        if ratio >= max_ratio:
-            raise ResonanceError(f"|g_{tag}c/Delta_{tag}|", ratio, max_ratio)
-        if ratio > warn_ratio:
+        if ratio >= DISPERSIVE_MAX_RATIO:
+            raise ResonanceError(f"|g_{tag}c/Delta_{tag}|", ratio, DISPERSIVE_MAX_RATIO)
+        if ratio > DISPERSIVE_WARN_RATIO:
             warnings.warn(
                 f"|g_{tag}c/Delta_{tag}| = {ratio:.3f} exceeds the dispersive "
-                f"guideline {warn_ratio}",
+                f"guideline {DISPERSIVE_WARN_RATIO}",
                 stacklevel=2,
             )
         g2 = g * g
@@ -223,7 +223,7 @@ def find_zero_g(
     prescan_points: int = PRESCAN_POINTS,
     resonance_floor: float = DEFAULT_RESONANCE_FLOOR,
 ) -> float:
-    """Coupler frequency in ``band`` (GHz) where the net coupling vanishes.
+    """Builder input (coupler GHz or flux) in ``band`` where g vanishes.
 
     Prescans the band, then refines with Brent's method to ``tol`` (1 kHz by
     default).  Raises NoRootError (with the endpoint couplings) when g does
@@ -243,7 +243,7 @@ def find_zero_g(
     if len(roots) > 1:
         warnings.warn(
             f"net coupling crosses zero {len(roots)} times in "
-            f"[{band[0]:.6g}, {band[1]:.6g}] GHz; returning the lowest root",
+            f"[{band[0]:.6g}, {band[1]:.6g}]; returning the lowest root",
             stacklevel=2,
         )
     return roots[0]

@@ -54,7 +54,7 @@ class NoRootError(CouplerKitError):
         self.f_lo = f_lo
         self.f_hi = f_hi
         super().__init__(
-            f"no sign change over [{band[0]:.6g}, {band[1]:.6g}] GHz: "
+            f"no sign change over [{band[0]:.6g}, {band[1]:.6g}]: "
             f"f(lo) = {f_lo:.6g}, f(hi) = {f_hi:.6g} GHz"
         )
 

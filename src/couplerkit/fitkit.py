@@ -37,6 +37,7 @@ FIT_PARAMETER_NAMES = (
 )
 
 DEFAULT_FREE = ("g12_mhz", "g1c_g2c_mhz2")
+SIMPLEX_MAX_ITERATIONS = 4000
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,11 @@ def synth_g_dataset(
 
 
 def _residuals(params: CouplerFluxModel, data: GFluxDataset) -> np.ndarray:
-    g = model_g_mhz(params, data.phi, data.omega1_ghz, data.omega2_ghz)
+    try:
+        g = model_g_mhz(params, data.phi, data.omega1_ghz, data.omega2_ghz)
+    except ValueError:
+        # free coupler parameters can step outside the SQUID/transmon domain
+        g = np.full(len(data), np.nan)
     if np.any(~np.isfinite(g)):
         return np.full(len(data), 1e6)
     signed = data.sign != 0.0
@@ -227,17 +232,17 @@ def fit_g_vs_flux(
     data: GFluxDataset,
     init: CouplerFluxModel,
     free: tuple[str, ...] = DEFAULT_FREE,
-    refine: bool = True,
-    max_iterations: int = 4000,
 ) -> FitResult:
     """Least-squares fit of the flux model to a dataset.
 
-    Starts with a derivative-free simplex search from ``init`` and optionally
-    refines with a finite-difference Gauss-Newton pass (relative step 1e-6).
-    Parameters not named in ``free`` are held at their ``init`` values.
-    Deterministic for identical inputs.  Raises UnderdeterminedFitError when
-    there are fewer rows than free parameters; returns ``converged=False``
-    (best-so-far parameters) when the simplex hits the iteration cap.
+    Starts with a derivative-free simplex search from ``init`` (at most
+    ``SIMPLEX_MAX_ITERATIONS`` iterations), then refines with a
+    finite-difference Levenberg-Marquardt pass (relative step 1e-6) that is
+    kept when it does not raise the objective.  Parameters not named in
+    ``free`` are held at their ``init`` values.  Deterministic for identical
+    inputs.  Raises UnderdeterminedFitError when there are fewer rows than
+    free parameters.  ``converged`` is True when the simplex or the kept
+    refinement converged; otherwise the best parameters so far are returned.
     """
     free = tuple(free)
     for name in free:
@@ -272,7 +277,7 @@ def fit_g_vs_flux(
         method="Nelder-Mead",
         callback=lambda xk: trace.append(objective(xk)),
         options={
-            "maxiter": max_iterations,
+            "maxiter": SIMPLEX_MAX_ITERATIONS,
             "xatol": 1e-10,
             "fatol": 1e-14,
             "adaptive": True,
@@ -283,19 +288,19 @@ def fit_g_vs_flux(
     converged = bool(simplex.success)
 
     jacobian = None
-    if refine:
-        gn = least_squares(
-            lambda x: _residuals(unpack(x), data),
-            best_x,
-            method="lm" if len(data) >= len(free) else "trf",
-            diff_step=1e-6,
-            max_nfev=2000,
-        )
-        n_evaluations += int(gn.nfev)
-        if np.sum(gn.fun**2) <= objective(best_x):
-            best_x = gn.x
-            converged = converged or bool(gn.success)
-            jacobian = gn.jac
+    # the row count check above guarantees LM's rows >= parameters
+    gn = least_squares(
+        lambda x: _residuals(unpack(x), data),
+        best_x,
+        method="lm",
+        diff_step=1e-6,
+        max_nfev=2000,
+    )
+    n_evaluations += int(gn.nfev)
+    if np.sum(gn.fun**2) <= objective(best_x):
+        best_x = gn.x
+        converged = converged or bool(gn.success)
+        jacobian = gn.jac
 
     params = unpack(best_x)
     res = _residuals(params, data)

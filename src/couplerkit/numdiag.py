@@ -33,33 +33,6 @@ class TruncatedHamiltonian:
         return (k1 * nc + kc) * n2 + k2
 
 
-@dataclass
-class DressedSpectrum:
-    """Eigenvalues (ascending, GHz) with per-state bare labels and overlaps."""
-
-    levels: tuple[int, int, int]
-    energies: np.ndarray
-    labels: list[tuple[int, int, int]]
-    overlaps: np.ndarray
-
-    def energy_of(self, label: tuple[int, int, int]) -> tuple[float, float]:
-        """(energy, overlap) of the eigenstate best matching a bare label."""
-        best, best_ovl = None, -1.0
-        for i, lab in enumerate(self.labels):
-            if lab == label and self.overlaps[i] > best_ovl:
-                best, best_ovl = i, self.overlaps[i]
-        if best is None:
-            raise LabelingError(f"no eigenstate is dominated by bare state {label}")
-        return float(self.energies[best]), float(best_ovl)
-
-    def is_ambiguous(self, label: tuple[int, int, int]) -> bool:
-        try:
-            _, ovl = self.energy_of(label)
-        except LabelingError:
-            return True
-        return ovl <= LABEL_OVERLAP_THRESHOLD
-
-
 @lru_cache(maxsize=32)
 def _mode_operators(levels: tuple[int, int, int]):
     """Per-truncation pieces of the Hamiltonian, which is linear in its nine
@@ -127,18 +100,6 @@ def _sector_eigh(
     return energies, vectors**2, rows
 
 
-def dressed_spectrum(h: TruncatedHamiltonian) -> DressedSpectrum:
-    """Diagonalize and label each eigenstate by its dominant bare state."""
-    energies, vectors = np.linalg.eigh(h.matrix)
-    amplitudes = np.abs(vectors) ** 2
-    best = np.argmax(amplitudes, axis=0)
-    labels = list(zip(*(k.tolist() for k in np.unravel_index(best, h.levels))))
-    overlaps = amplitudes[best, np.arange(len(energies))]
-    return DressedSpectrum(
-        levels=h.levels, energies=energies, labels=labels, overlaps=overlaps
-    )
-
-
 _ZZ_LABELS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1))
 _ZZ_SECTORS = (((0, 0, 0), (1, 0, 1)), ((1, 0, 0), (0, 0, 1)))
 
@@ -147,10 +108,10 @@ def zz_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS) ->
     """ZZ strength w(101) - w(100) - w(001) + w(000) from diagonalization (GHz).
 
     Each parity sector is diagonalized on its own.  A bare label takes the
-    energy of the eigenstate it dominates with the largest overlap, as in
-    ``DressedSpectrum.energy_of``.  Raises LabelingError when any of the four
-    computational states cannot be identified with overlap above 0.5 (near
-    an avoided crossing).
+    energy of the eigenstate it dominates (is the largest component of),
+    with the largest overlap when it dominates several.  Raises
+    LabelingError when any of the four computational states cannot be
+    identified with overlap above 0.5 (near an avoided crossing).
     """
     h = build_hamiltonian(m, levels)
     matches = {}

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -217,9 +218,10 @@ class TestFind:
         assert rc == 3
         assert "no root" in err
 
-    def test_zz_roots_printed(self, tmp_path, capsys):
+    @staticmethod
+    def device_flux_config(flux_range):
         dev = ASYMMETRIC_DEVICE
-        cfg = {
+        return {
             "schema": 1,
             "model": {
                 "omega1": dev.omega1_max, "omega2": dev.omega2_max,
@@ -233,13 +235,28 @@ class TestFind:
                               "asymmetry": 0.0},
             "coupler_ec": dev.coupler_ec,
             "sweep": {"quantity": "zz", "variable": "coupler-flux",
-                      "range": [0.0, 0.345], "points": 200},
+                      "range": flux_range, "points": 200},
         }
-        path = write_json(tmp_path, "cfg.json", cfg)
+
+    def test_zz_roots_printed(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cfg.json", self.device_flux_config([0.0, 0.345]))
         rc, out, _ = run(capsys, "find", "--config", path, "--target", "zz")
         assert rc == 0
         roots = [float(line) for line in out.strip().splitlines()]
         assert len(roots) == 2  # two flux ratios where zz vanishes
+
+    @pytest.mark.parametrize("flux_range, code", [([0.0, 0.45], 0), ([0.0, 0.05], 3)])
+    def test_flux_band_is_not_printed_in_ghz(self, tmp_path, capsys, flux_range, code):
+        # two roots warn and none is a no-root error; both name the band,
+        # which is in flux quanta here
+        path = write_json(tmp_path, "cfg.json", self.device_flux_config(flux_range))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, _, err = run(capsys, "find", "--config", path, "--target", "g")
+        err += "".join(f"{w.message}\n" for w in caught)
+        assert rc == code
+        assert f"[0, {flux_range[1]:g}]" in err
+        assert "] GHz" not in err
 
     @pytest.mark.parametrize("target", ["g", "zz"])
     def test_flux_domain_edge_is_skipped(self, tmp_path, capsys, target):
@@ -322,6 +339,28 @@ class TestFit:
         rc, _, err = run(capsys, "fit", str(data_path), "--config", cfg)
         assert rc == 4
         assert "fit error" in err
+
+    @pytest.mark.parametrize("free", [
+        ("g12_mhz", "g1c_g2c_mhz2", "coupler_asymmetry"),
+        ("coupler_ec_ghz", "coupler_ej_sum_ghz"),
+    ])
+    def test_free_coupler_parameters(self, tmp_path, capsys, free):
+        # the simplex steps outside the SQUID/transmon domain on the way
+        data_path, true = self.make_dataset(tmp_path, rows=12)
+        cfg = self.fit_config(tmp_path, true, free=free)
+        rc, out, err = run(capsys, "fit", data_path, "--config", cfg)
+        assert rc == 0, err
+        assert json.loads(out)["free"] == list(free)
+
+    def test_refine_key_is_ignored(self, tmp_path, capsys):
+        data_path, true = self.make_dataset(tmp_path, rows=12, noise=0.2)
+        cfg = self.fit_config(tmp_path, true)
+        plain = run(capsys, "fit", data_path, "--config", cfg)
+        with open(cfg) as fh:
+            payload = json.load(fh)
+        payload["refine"] = False
+        cfg = write_json(tmp_path, "fit_refine.json", payload)
+        assert run(capsys, "fit", data_path, "--config", cfg) == plain
 
     def test_byte_identical_repeat(self, tmp_path, capsys):
         data_path, true = self.make_dataset(tmp_path, noise=0.2)

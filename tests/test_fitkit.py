@@ -172,6 +172,25 @@ class TestFit:
                       "coupler_asymmetry"),
             )
 
+    @pytest.mark.parametrize("with_signs", [True, False])
+    def test_free_asymmetry_from_symmetric_start(self, with_signs):
+        # the simplex's first steps from asymmetry 0 leave the SQUID's domain;
+        # those trial points count as infeasible instead of ending the fit
+        data = true_dataset(with_signs=with_signs)
+        init = CouplerFluxModel(
+            g12_mhz=-6.0, g1c_g2c_mhz2=-(110.0**2),
+            coupler_ec_ghz=TRUE.coupler_ec_ghz,
+            coupler_ej_sum_ghz=TRUE.coupler_ej_sum_ghz,
+            coupler_asymmetry=0.0,
+        )
+        result = fit_g_vs_flux(
+            data, init, free=("g12_mhz", "g1c_g2c_mhz2", "coupler_asymmetry")
+        )
+        assert result.rms_residual_mhz < 1e-9
+        assert result.g12_mhz == pytest.approx(TRUE.g12_mhz, rel=1e-9)
+        assert result.g1c_g2c_mhz2 == pytest.approx(TRUE.g1c_g2c_mhz2, rel=1e-9)
+        assert 0.0 <= result.params.coupler_asymmetry < 1e-6
+
     def test_objective_trace_monotone(self):
         data = true_dataset(noise=0.2, seed=5)
         init = CouplerFluxModel(
@@ -180,7 +199,7 @@ class TestFit:
             coupler_ej_sum_ghz=TRUE.coupler_ej_sum_ghz,
             coupler_asymmetry=0.0,
         )
-        result = fit_g_vs_flux(data, init, refine=False)
+        result = fit_g_vs_flux(data, init)
         trace = result.objective_trace
         assert len(trace) > 3
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
