@@ -40,6 +40,10 @@ EXIT_INPUT = 2
 EXIT_NO_ROOT = 3
 EXIT_FIT = 4
 
+# every run-config number is a frequency, energy or rate in GHz or a flux in
+# Phi/Phi0; far larger magnitudes overflow the model formulas
+MAX_CONFIG_MAGNITUDE = 1e6
+
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
@@ -78,15 +82,30 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _bounded(field: str, value: float) -> float:
+    """``value`` of the config ``field``; NaN, infinities and magnitudes above
+    MAX_CONFIG_MAGNITUDE are input errors that name the field."""
+    if not abs(value) <= MAX_CONFIG_MAGNITUDE:
+        raise NetlistError(
+            f"{field} = {value!r} is out of range "
+            f"(magnitude at most {MAX_CONFIG_MAGNITUDE:g})"
+        )
+    return value
+
+
 def _squid_from_config(cfg: dict, where: str) -> SquidParams:
     if not isinstance(cfg, dict):
         raise NetlistError(f"{where} must be an object")
     try:
         if "ej_sum" in cfg:
             return SquidParams.from_sum_asymmetry(
-                float(cfg["ej_sum"]), float(cfg.get("asymmetry", 0.0))
+                _bounded(f"{where}.ej_sum", float(cfg["ej_sum"])),
+                float(cfg.get("asymmetry", 0.0)),
             )
-        return SquidParams(float(cfg["ej_large"]), float(cfg["ej_small"]))
+        return SquidParams(
+            _bounded(f"{where}.ej_large", float(cfg["ej_large"])),
+            _bounded(f"{where}.ej_small", float(cfg["ej_small"])),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise NetlistError(
             f"{where} needs 'ej_sum' (+ optional 'asymmetry') or "
@@ -104,14 +123,14 @@ def _model_block(cfg: dict) -> tuple[SystemModel, ModelBuilder | None]:
     if missing:
         raise NetlistError(f"model block missing fields: {', '.join(missing)}")
     try:
-        base = SystemModel(**{n: float(block[n]) for n in names})
+        base = SystemModel(**{n: _bounded(f"model.{n}", float(block[n])) for n in names})
     except (TypeError, ValueError) as exc:
         raise NetlistError(f"model block: {exc}") from exc
     if "coupler_squid" not in cfg:
         return base, None
     squid = _squid_from_config(cfg["coupler_squid"], "coupler_squid")
     try:
-        e_c = float(cfg["coupler_ec"])
+        e_c = _bounded("coupler_ec", float(cfg["coupler_ec"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise NetlistError(
             "coupler-flux sweeps from a model block need numeric 'coupler_ec'"
@@ -151,7 +170,10 @@ def _netlist_model(cfg: dict) -> tuple[SystemModel, ModelBuilder]:
     if not isinstance(flux, dict):
         raise NetlistError("flux must be an object")
     try:
-        x1, x2, xc = (float(flux.get(k, 0.0)) for k in ("qubit1", "qubit2", "coupler"))
+        x1, x2, xc = (
+            _bounded(f"flux.{k}", float(flux.get(k, 0.0)))
+            for k in ("qubit1", "qubit2", "coupler")
+        )
     except (TypeError, ValueError) as exc:
         raise NetlistError(f"flux entries must be numbers: {exc}") from exc
     phi1, phi2 = phase_from_flux_ratio(x1), phase_from_flux_ratio(x2)
@@ -220,7 +242,7 @@ def _read_run(
     else:
         builder = flux_builder
     try:
-        lo, hi = (float(v) for v in sweep["range"])
+        lo, hi = (_bounded("sweep.range", float(v)) for v in sweep["range"])
     except (KeyError, TypeError, ValueError) as exc:
         raise NetlistError(f"sweep block needs 'range': [lo, hi]: {exc}") from exc
     if not lo < hi:
@@ -352,9 +374,8 @@ def cmd_find(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _load_json(args.config)
-    data = fitkit.GFluxDataset.from_csv(_read_file(args.dataset))
+def _read_fit(cfg: dict) -> tuple[fitkit.CouplerFluxModel, tuple[str, ...]]:
+    """Validate a fit config: the initial model and the free parameter names."""
     init_block = cfg.get("init")
     if not isinstance(init_block, dict):
         raise NetlistError("fit config needs an 'init' object")
@@ -364,8 +385,35 @@ def cmd_fit(args: argparse.Namespace) -> int:
         )
     except (TypeError, ValueError) as exc:
         raise NetlistError(f"init block: {exc}") from exc
-    free = tuple(cfg.get("free", fitkit.DEFAULT_FREE))
-    result = fitkit.fit_g_vs_flux(data, init, free=free)
+    for name in fitkit.FIT_PARAMETER_NAMES:
+        if not np.isfinite(getattr(init, name)):
+            raise NetlistError(f"init.{name} = {getattr(init, name)!r} is not finite")
+    free = cfg.get("free", list(fitkit.DEFAULT_FREE))
+    if not isinstance(free, list) or not free:
+        raise NetlistError(f"free must be a non-empty list of parameter names, got {free!r}")
+    for name in free:
+        if name not in fitkit.FIT_PARAMETER_NAMES:
+            raise NetlistError(
+                f"unknown fit parameter {name!r} in free; expected names from "
+                f"{', '.join(fitkit.FIT_PARAMETER_NAMES)}"
+            )
+        if free.count(name) > 1:
+            raise NetlistError(f"free lists {name!r} more than once")
+    return init, tuple(free)
+
+
+def cmd_fit(args: argparse.Namespace) -> int:
+    cfg = _load_json(args.config)
+    try:
+        data = fitkit.GFluxDataset.from_csv(_read_file(args.dataset))
+    except ValueError as exc:  # the dataset's own row checks
+        raise NetlistError(f"dataset: {exc}") from exc
+    init, free = _read_fit(cfg)
+    try:
+        result = fitkit.fit_g_vs_flux(data, init, free=free)
+    except ArithmeticError as exc:  # the optimizer left the float range
+        print(f"fit error: {exc}", file=sys.stderr)
+        return EXIT_FIT
     payload = _round9(
         {
             "schema": 1,
@@ -439,14 +487,19 @@ def main(argv: list[str] | None = None) -> int:
     except (NetlistError, AssumptionViolationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (UnderdeterminedFitError, ValueError, ArithmeticError) as exc:
-        if args.command == "fit":
-            print(f"fit error: {exc}", file=sys.stderr)
-            return EXIT_FIT
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except UnderdeterminedFitError as exc:
+        print(f"fit error: {exc}", file=sys.stderr)
+        return EXIT_FIT
     except CouplerKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (ValueError, ArithmeticError) as exc:
+        # sweep and find evaluate the model formulas on config values that no
+        # reader bounds (a coupler E_C above 8 E_J, say); fit checks its inputs
+        # first and reports the optimizer's arithmetic itself
+        if args.command == "fit":
+            raise
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -64,6 +64,8 @@ class GFluxDataset:
         for name, arr in arrays.items():
             if arr.ndim != 1 or len(arr) != n:
                 raise ValueError(f"{name} must be 1-d of common length")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} values must be finite")
             object.__setattr__(self, name, arr)
         if n < 6:
             raise ValueError(f"need at least 6 rows, got {n}")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dsyevr
 
 from .errors import LabelingError
 from .transmon import SystemModel
@@ -25,43 +26,76 @@ LABEL_OVERLAP_THRESHOLD = 0.5
 
 @dataclass
 class TruncatedHamiltonian:
+    """The truncated Hamiltonian as its even and odd total-excitation blocks.
+
+    ``blocks[0]`` and ``blocks[1]`` hold the rows and columns of the even and
+    odd sector states in ascending product-basis order; the couplings never
+    connect the two sectors.
+    """
+
     levels: tuple[int, int, int]
-    matrix: np.ndarray
+    blocks: tuple[np.ndarray, np.ndarray]
 
     def index(self, k1: int, kc: int, k2: int) -> int:
         n1, nc, n2 = self.levels
         return (k1 * nc + kc) * n2 + k2
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full product-basis matrix, assembled from the blocks on each read."""
+        n = int(np.prod(self.levels))
+        h = np.zeros((n, n))
+        for (sector, _, _), block in zip(_mode_operators(self.levels), self.blocks):
+            h[np.ix_(sector, sector)] = block
+        return h
+
+    def sector(
+        self, labels: tuple[tuple[int, int, int], ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The block holding ``labels`` (all of one total-excitation parity)
+        and the rows of the labels in it."""
+        parity = sum(labels[0]) % 2
+        indices = _mode_operators(self.levels)[parity][0]
+        rows = np.searchsorted(indices, [self.index(*label) for label in labels])
+        return self.blocks[parity], rows
+
 
 @lru_cache(maxsize=32)
 def _mode_operators(levels: tuple[int, int, int]):
     """Per-truncation pieces of the Hamiltonian, which is linear in its nine
-    parameters: the (N, 6) diagonal ladder columns k and k (k - 1) of each mode,
-    the three coupling quadratures X_jk = -(a_j - a_j+)(a_k - a_k+), and the
-    basis indices of the even and odd total-excitation sectors.  The couplings
-    change the total excitation number by 0 or +-2, so the sectors never mix.
+    parameters, for the even and then the odd total-excitation sector.  The
+    couplings change the total excitation number by 0 or +-2, so the sectors
+    never mix.  Each sector holds its ascending basis indices, the (n_s, 6)
+    diagonal ladder columns k and k (k - 1) of each mode, and, for each
+    coupling quadrature X_1c, X_2c, X_12 with X_jk = -(a_j - a_j+)(a_k - a_k+),
+    the flat positions and values of its nonzero entries in the block.
     """
-    occupations = [k.ravel() for k in np.indices(levels, dtype=float)]
-    ladder = np.stack([c for k in occupations for c in (k, k * (k - 1.0))], axis=1)
-
-    def quadrature(n):
+    occupations = np.indices(levels).reshape(3, -1)
+    quadratures = []
+    for n in levels:
         lower = np.diag(np.sqrt(np.arange(1.0, n)), k=1)
-        return lower - lower.T
-
-    y1, yc, y2 = (quadrature(n) for n in levels)
-    i1, ic, i2 = (np.eye(n) for n in levels)
-    # the kron of two antisymmetric quadratures is exactly symmetric
-    couplings = (
-        -np.kron(np.kron(y1, yc), i2),
-        -np.kron(np.kron(i1, yc), y2),
-        -np.kron(np.kron(y1, ic), y2),
-    )
-    total = sum(occupations).astype(int)
-    sectors = tuple(np.flatnonzero(total % 2 == parity) for parity in (0, 1))
-    # every caller shares these arrays
-    for a in (ladder, *couplings, *sectors):
-        a.flags.writeable = False
-    return ladder, couplings, sectors
+        quadratures.append(lower - lower.T)
+    sectors = []
+    for parity in (0, 1):
+        indices = np.flatnonzero(occupations.sum(axis=0) % 2 == parity)
+        k = occupations[:, indices]
+        ladder = np.stack(
+            [c for kj in k.astype(float) for c in (kj, kj * (kj - 1.0))], axis=1
+        )
+        # <state a| Y_j |state b> for each mode, and whether mode j is unchanged
+        y = [q[np.ix_(kj, kj)] for q, kj in zip(quadratures, k)]
+        same = [kj[:, None] == kj for kj in k]
+        couplings = []
+        for j, l, spectator in ((0, 1, 2), (1, 2, 0), (0, 2, 1)):
+            # the product of two antisymmetric quadratures is exactly symmetric
+            x = -(y[j] * y[l]) * same[spectator]
+            positions = np.flatnonzero(x)
+            couplings.append((positions, x.ravel()[positions]))
+        # every caller shares these arrays
+        for a in (indices, ladder, *sum(couplings, ())):
+            a.flags.writeable = False
+        sectors.append((indices, ladder, tuple(couplings)))
+    return tuple(sectors)
 
 
 def build_hamiltonian(
@@ -74,30 +108,54 @@ def build_hamiltonian(
             f"levels must be three integers in [{MIN_LEVELS}, {MAX_LEVELS}], "
             f"got {levels}"
         )
-    ladder, (x1c, x2c, x12), _ = _mode_operators(levels)
-    h = m.g1c * x1c + m.g2c * x2c + m.g12 * x12
+    rates = (m.g1c, m.g2c, m.g12)
     p = np.array([
         m.omega1, -0.5 * m.eta1, m.omegac, -0.5 * m.etac, m.omega2, -0.5 * m.eta2
     ])
-    # the couplings have a zero diagonal
-    np.fill_diagonal(h, ladder @ p)
-    return TruncatedHamiltonian(levels=levels, matrix=h)
+    blocks = []
+    for _, ladder, couplings in _mode_operators(levels):
+        h = np.zeros((len(ladder), len(ladder)))
+        # the three couplings have disjoint supports and a zero diagonal
+        for g, (positions, values) in zip(rates, couplings):
+            h.flat[positions] = g * values
+        np.fill_diagonal(h, ladder @ p)
+        blocks.append(h)
+    return TruncatedHamiltonian(levels=levels, blocks=tuple(blocks))
 
 
-def _sector_eigh(
-    h: TruncatedHamiltonian, labels: tuple[tuple[int, int, int], ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonalize the parity sector that holds ``labels`` (all of one
-    total-excitation parity).
+# eigenpairs solved beyond the highest bare-energy rank of a sector's labels
+_WINDOW_MARGIN = 1
 
-    Returns the ascending energies, the squared eigenvector components with
-    one row per sector state and one column per eigenstate, and the rows of
-    ``labels``.
+
+def _label_matches(block: np.ndarray, rows: np.ndarray) -> list[tuple[float, float]]:
+    """(energy, overlap) of the eigenstate each label row takes: the one it
+    dominates (is the largest component of) with the largest overlap, or an
+    overlap of -1 when it dominates none.
+
+    A label's squared overlaps sum to 1, so an eigenstate with overlap > 0.5
+    is unique and dominated by the label, and that is the one the rule picks.
+    Only the lowest eigenpairs, up to a margin above the labels' bare-energy
+    ranks, are solved first; the full solve runs when any label has no such
+    eigenstate among them.
     """
-    sector = _mode_operators(h.levels)[2][sum(labels[0]) % 2]
-    energies, vectors = np.linalg.eigh(h.matrix[np.ix_(sector, sector)])
-    rows = np.searchsorted(sector, [h.index(*label) for label in labels])
-    return energies, vectors**2, rows
+    diag = block.diagonal()
+    rank = max(np.count_nonzero(diag <= diag[row]) for row in rows)
+    count = min(len(diag), rank + _WINDOW_MARGIN)
+    energies, vectors, _, _, info = dsyevr(block, range="I", il=1, iu=count)
+    weights = vectors[rows] ** 2
+    best = np.argmax(weights, axis=1)
+    overlaps = weights[np.arange(len(rows)), best]
+    if info == 0 and np.all(overlaps > LABEL_OVERLAP_THRESHOLD):
+        return [(float(energies[b]), float(o)) for b, o in zip(best, overlaps)]
+    energies, vectors = np.linalg.eigh(block)
+    amplitudes = vectors**2
+    dominant = np.argmax(amplitudes, axis=0)
+    matches = []
+    for row in rows:
+        overlaps = np.where(dominant == row, amplitudes[row], -1.0)
+        best = int(np.argmax(overlaps))
+        matches.append((float(energies[best]), float(overlaps[best])))
+    return matches
 
 
 _ZZ_LABELS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1))
@@ -107,21 +165,17 @@ _ZZ_SECTORS = (((0, 0, 0), (1, 0, 1)), ((1, 0, 0), (0, 0, 1)))
 def zz_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS) -> float:
     """ZZ strength w(101) - w(100) - w(001) + w(000) from diagonalization (GHz).
 
-    Each parity sector is diagonalized on its own.  A bare label takes the
-    energy of the eigenstate it dominates (is the largest component of),
-    with the largest overlap when it dominates several.  Raises
-    LabelingError when any of the four computational states cannot be
-    identified with overlap above 0.5 (near an avoided crossing).
+    Each parity sector is diagonalized on its own, for its lowest
+    eigenpairs first.  A bare label takes the energy of the eigenstate it
+    dominates (is the largest component of), with the largest overlap when
+    it dominates several.  Raises LabelingError when any of the four
+    computational states cannot be identified with overlap above 0.5 (near
+    an avoided crossing).
     """
     h = build_hamiltonian(m, levels)
     matches = {}
     for labels in _ZZ_SECTORS:
-        energies, amplitudes, rows = _sector_eigh(h, labels)
-        dominant = np.argmax(amplitudes, axis=0)
-        for label, row in zip(labels, rows):
-            overlaps = np.where(dominant == row, amplitudes[row], -1.0)
-            best = int(np.argmax(overlaps))
-            matches[label] = float(energies[best]), float(overlaps[best])
+        matches.update(zip(labels, _label_matches(*h.sector(labels))))
     for label in _ZZ_LABELS:
         overlap = matches[label][1]
         if overlap < 0.0:
@@ -148,10 +202,11 @@ def g_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS) -> 
             f"g_numeric needs resonant qubits, got omega1 = {m.omega1}, "
             f"omega2 = {m.omega2}"
         )
-    h = build_hamiltonian(m, levels)
-    energies, amplitudes, (r100, r001, r010) = _sector_eigh(
-        h, ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+    block, (r100, r001, r010) = build_hamiltonian(m, levels).sector(
+        ((1, 0, 0), (0, 0, 1), (0, 1, 0))
     )
+    energies, vectors = np.linalg.eigh(block)
+    amplitudes = vectors**2
     q_weight = amplitudes[r100] + amplitudes[r001]
     c_weight = amplitudes[r010]
     # a three-way qubit-qubit-coupler hybrid carries at most ~0.55 total qubit

@@ -319,7 +319,7 @@ class TestFit:
         assert result["g12_mhz"] == pytest.approx(-9.4, rel=1e-3)
         assert result["product_sqrt_mhz"] == pytest.approx(131.6, rel=1e-3)
 
-    def test_three_rows_is_a_fit_error(self, tmp_path, capsys):
+    def test_three_rows_is_an_input_error(self, tmp_path, capsys):
         text = (
             "phi_over_phi0,g_mhz,sign,omega1_ghz,omega2_ghz\n"
             "0.0,10,-1,3.449,3.449\n0.1,8,-1,3.449,3.449\n0.2,5,-1,3.449,3.449\n"
@@ -337,8 +337,53 @@ class TestFit:
                   "coupler_asymmetry"),
         )
         rc, _, err = run(capsys, "fit", str(data_path), "--config", cfg)
-        assert rc == 4
-        assert "fit error" in err
+        assert_input_error(rc, err, "dataset: need at least 6 rows, got 3")
+
+    @pytest.mark.parametrize("free, text", [
+        (5, "free must be a non-empty list of parameter names, got 5"),
+        ("g12_mhz", "free must be a non-empty list of parameter names, got 'g12_mhz'"),
+        (["nope"], "unknown fit parameter 'nope'"),
+        ([], "free must be a non-empty list"),
+        ([1], "unknown fit parameter 1"),
+        (["g12_mhz", "g12_mhz"], "free lists 'g12_mhz' more than once"),
+    ])
+    def test_bad_free_is_an_input_error(self, tmp_path, capsys, free, text):
+        data_path, true = self.make_dataset(tmp_path, rows=12)
+        cfg = json.loads(open(self.fit_config(tmp_path, true)).read())
+        cfg["free"] = free
+        rc, out, err = run(capsys, "fit", data_path, "--config",
+                           write_json(tmp_path, "bad.json", cfg))
+        assert out == ""
+        assert_input_error(rc, err, text)
+
+    def test_non_finite_init_is_an_input_error(self, tmp_path, capsys):
+        data_path, true = self.make_dataset(tmp_path, rows=12)
+        cfg = json.loads(open(self.fit_config(tmp_path, true)).read())
+        cfg["init"]["g12_mhz"] = float("inf")
+        rc, _, err = run(capsys, "fit", data_path, "--config",
+                         write_json(tmp_path, "bad.json", cfg))
+        assert_input_error(rc, err, "init.g12_mhz = inf is not finite")
+
+    def test_repeated_flux_is_an_input_error(self, tmp_path, capsys):
+        data_path, true = self.make_dataset(tmp_path, rows=12)
+        lines = open(data_path).read().splitlines()
+        lines[3] = lines[2].split(",")[0] + "," + lines[3].split(",", 1)[1]
+        bad = tmp_path / "repeated.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc, _, err = run(capsys, "fit", str(bad), "--config",
+                         self.fit_config(tmp_path, true))
+        assert_input_error(rc, err, "dataset: flux values must be distinct")
+
+    def test_optimizer_overflow_is_a_fit_error(self, tmp_path, capsys):
+        data_path, true = self.make_dataset(tmp_path, rows=12)
+        cfg = json.loads(open(self.fit_config(tmp_path, true)).read())
+        cfg["init"]["g12_mhz"] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc, out, err = run(capsys, "fit", data_path, "--config",
+                               write_json(tmp_path, "huge.json", cfg))
+        assert (rc, out) == (4, "")
+        assert err.startswith("fit error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("free", [
         ("g12_mhz", "g1c_g2c_mhz2", "coupler_asymmetry"),
@@ -461,6 +506,22 @@ class TestRunConfigErrors:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_malformed_config_exit_2(self, tmp_path, capsys, monkeypatch, cfg, text, command):
         monkeypatch.chdir(tmp_path)
+        path = write_json(tmp_path, "cfg.json", cfg)
+        rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
+        assert out == ""
+        assert_input_error(rc, err, text)
+
+    @pytest.mark.parametrize("cfg, command, text", [
+        (netlist_run(squids={"qubit1": {"ej_sum": 1e200}, "qubit2": {"ej_sum": 15.0},
+                             "coupler": {"ej_sum": 28.0}}),
+         ("sweep",), "squids.qubit1.ej_sum = 1e+200 is out of range"),
+        (model_run(model=dict(model_block(FLOATING_DESIGN_RATES_SYMMETRIC), g12=1e200),
+                   sweep={"quantity": "zz", "range": [2.77, 4.0], "points": 5}),
+         ("sweep",), "model.g12 = 1e+200 is out of range"),
+        (model_run(sweep={"range": [2.77, float("nan")]}),
+         ("find", "--target", "g"), "sweep.range = nan is out of range"),
+    ])
+    def test_out_of_range_number_names_its_field(self, tmp_path, capsys, cfg, command, text):
         path = write_json(tmp_path, "cfg.json", cfg)
         rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
         assert out == ""
@@ -601,3 +662,72 @@ def test_mutated_run_config_fails_cleanly(fuzz_runs, data):
         assert messages[0].startswith(
             ("input error: ", "error: ", "no root: ", "no zz roots")
         ), messages
+
+
+# -- property test of the fit-input readers ------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_fit(tmp_path_factory):
+    """A valid 8-row dataset and fit config."""
+    root = tmp_path_factory.mktemp("fitfuzz")
+    data_path, true = TestFit().make_dataset(root, rows=8)
+    cfg = json.loads(open(TestFit().fit_config(root, true)).read())
+    return root, cfg, open(data_path).read().splitlines()
+
+
+CELLS = st.one_of(st.text(max_size=8), st.floats().map(repr), st.integers().map(str))
+
+
+def _mutated_rows(data, rows):
+    """Truncate the rows, repeat one row's flux in another, or retype a cell."""
+    header, body = rows[0], rows[1:]
+    how = data.draw(st.sampled_from(["truncate", "repeat", "cell"]))
+    if how == "truncate":
+        body = body[:data.draw(st.integers(0, len(body) - 1))]
+    elif how == "repeat":
+        i, j = data.draw(st.lists(st.integers(0, len(body) - 1), min_size=2,
+                                  max_size=2, unique=True))
+        body[j] = body[i].split(",")[0] + "," + body[j].split(",", 1)[1]
+    else:
+        i = data.draw(st.integers(0, len(body) - 1))
+        cells = body[i].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(CELLS)
+        body[i] = ",".join(cells)
+    return [header, *body]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_fit_input_fails_cleanly(fuzz_fit, data):
+    """A mutated fit config or dataset gives exit 0, 2 or 4 with at most one
+    non-warning line on stderr; an exception escaping main fails the test."""
+    root, cfg, rows = fuzz_fit
+    cfg = copy.deepcopy(cfg)
+    if data.draw(st.booleans()):
+        *parents, key = data.draw(st.sampled_from(list(_key_paths(cfg))))
+        holder = cfg
+        for p in parents:
+            holder = holder[p]
+        if isinstance(holder, dict) and data.draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = data.draw(REPLACEMENTS)
+    else:
+        rows = _mutated_rows(data, rows)
+    n = next(CONFIG_NAMES)
+    cfg_path, data_path = root / f"fit-{n}.json", root / f"data-{n}.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    data_path.write_text("\n".join(rows) + "\n")
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(["fit", str(data_path), "--config", str(cfg_path)])
+    messages = err.getvalue().splitlines()
+    if rc == 0:
+        assert messages == [] and json.loads(out.getvalue())["schema"] == 1
+    else:
+        assert rc in (2, 4) and out.getvalue() == ""
+        assert len(messages) == 1, err.getvalue()
+        assert messages[0].startswith(("input error: ", "fit error: ")), messages
