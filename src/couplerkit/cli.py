@@ -137,7 +137,7 @@ def _model_block(cfg: dict) -> tuple[SystemModel, ModelBuilder | None]:
         ) from exc
     ej_max = ej_of_flux(squid, 0.0)
 
-    def build(flux_ratio: float) -> SystemModel:
+    def build(flux_ratio) -> SystemModel:  # a float or a 1-d array
         ej = ej_of_flux(squid, phase_from_flux_ratio(flux_ratio))
         return tune_coupler(base, e_c, ej_max, ej)
 
@@ -178,7 +178,7 @@ def _netlist_model(cfg: dict) -> tuple[SystemModel, ModelBuilder]:
         raise NetlistError(f"flux entries must be numbers: {exc}") from exc
     phi1, phi2 = phase_from_flux_ratio(x1), phase_from_flux_ratio(x2)
 
-    def build(flux_ratio: float) -> SystemModel:
+    def build(flux_ratio) -> SystemModel:  # a float or a 1-d array
         return system_model(
             energies, *trans, phi_e1=phi1, phi_e2=phi2,
             phi_ec=phase_from_flux_ratio(flux_ratio),
@@ -388,6 +388,7 @@ def _read_fit(cfg: dict) -> tuple[fitkit.CouplerFluxModel, tuple[str, ...]]:
     for name in fitkit.FIT_PARAMETER_NAMES:
         if not np.isfinite(getattr(init, name)):
             raise NetlistError(f"init.{name} = {getattr(init, name)!r} is not finite")
+        _bounded(f"init.{name}", getattr(init, name))
     free = cfg.get("free", list(fitkit.DEFAULT_FREE))
     if not isinstance(free, list) or not free:
         raise NetlistError(f"free must be a non-empty list of parameter names, got {free!r}")

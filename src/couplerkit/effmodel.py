@@ -3,6 +3,11 @@
 Detuning conventions: Delta_j = omega_c - omega_j and Sigma_j =
 omega_c + omega_j for the coupler-mediated exchange; Delta_12 =
 omega_1 - omega_2 for the ZZ expansion.
+
+``g_net`` and ``zz_perturbative`` take a model of one point or of an array of
+points.  On an array a point whose denominator is below the resonance floor
+is NaN in every field of the result, where a float model raises
+ResonanceError.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy import ndarray
 from scipy.optimize import brentq
 
 from .errors import FluxDomainError, NoRootError, ResonanceError
@@ -63,6 +69,13 @@ def _check_floor(name: str, value: float, floor: float) -> None:
         raise ResonanceError(name, value, floor)
 
 
+def _blank_poles(floor: float, denominators: tuple, values: tuple) -> list[ndarray]:
+    """``values`` with NaN at every point where a denominator is below ``floor``
+    in magnitude: the array form of ``_check_floor``."""
+    poles = np.logical_or.reduce([abs(d) < floor for d in denominators])
+    return [np.where(poles, np.nan, v) for v in values]
+
+
 def g_net(m: SystemModel, resonance_floor: float = DEFAULT_RESONANCE_FLOOR) -> EffectiveCoupling:
     """Net qubit-qubit coupling g = g12 - g_eff.
 
@@ -71,8 +84,11 @@ def g_net(m: SystemModel, resonance_floor: float = DEFAULT_RESONANCE_FLOOR) -> E
     """
     d1, d2 = m.omegac - m.omega1, m.omegac - m.omega2
     s1, s2 = m.omegac + m.omega1, m.omegac + m.omega2
-    _check_floor("Delta_1", d1, resonance_floor)
-    _check_floor("Delta_2", d2, resonance_floor)
+    if type(d1) is ndarray:
+        d1, d2, s1, s2 = _blank_poles(resonance_floor, (d1, d2), (d1, d2, s1, s2))
+    else:
+        _check_floor("Delta_1", d1, resonance_floor)
+        _check_floor("Delta_2", d2, resonance_floor)
     g_eff = 0.5 * m.g1c * m.g2c * (1.0 / d1 + 1.0 / s1 + 1.0 / d2 + 1.0 / s2)
     return EffectiveCoupling(
         g=m.g12 - g_eff, g_eff=g_eff, delta1=d1, delta2=d2, sigma1=s1, sigma2=s2
@@ -138,12 +154,19 @@ def zz_perturbative(
     """
     d12 = m.omega1 - m.omega2
     d1, d2 = m.omegac - m.omega1, m.omegac - m.omega2
-    _check_floor("Delta_12", d12, resonance_floor)
-    _check_floor("Delta_12 - eta_1", d12 - m.eta1, resonance_floor)
-    _check_floor("Delta_12 + eta_2", d12 + m.eta2, resonance_floor)
-    _check_floor("Delta_1", d1, resonance_floor)
-    _check_floor("Delta_2", d2, resonance_floor)
-    _check_floor("Delta_1 + Delta_2 + eta_c", d1 + d2 + m.etac, resonance_floor)
+    if type(d12) is ndarray:
+        d12, d1, d2 = _blank_poles(
+            resonance_floor,
+            (d12, d12 - m.eta1, d12 + m.eta2, d1, d2, d1 + d2 + m.etac),
+            (d12, d1, d2),
+        )
+    else:
+        _check_floor("Delta_12", d12, resonance_floor)
+        _check_floor("Delta_12 - eta_1", d12 - m.eta1, resonance_floor)
+        _check_floor("Delta_12 + eta_2", d12 + m.eta2, resonance_floor)
+        _check_floor("Delta_1", d1, resonance_floor)
+        _check_floor("Delta_2", d2, resonance_floor)
+        _check_floor("Delta_1 + Delta_2 + eta_c", d1 + d2 + m.etac, resonance_floor)
 
     zeta2 = -2.0 * m.g12**2 * (m.eta1 + m.eta2) / ((d12 - m.eta1) * (d12 + m.eta2))
 
@@ -160,23 +183,41 @@ def zz_perturbative(
     return ZZBreakdown(zeta2=zeta2, zeta34=zeta34, delta12=d12)
 
 
-ModelBuilder = Callable[[float], SystemModel]
+# maps the swept variable, a float or a 1-d array of points, to a SystemModel;
+# on an array a point where the float call raises ResonanceError or
+# FluxDomainError is NaN
+ModelBuilder = Callable[[float | ndarray], SystemModel]
 
 
 def _scan(
-    f: Callable[[float], float], band: Sequence[float], points: int
-) -> tuple[np.ndarray, np.ndarray]:
+    f: Callable[[ndarray], ndarray], band: Sequence[float], points: int
+) -> tuple[ndarray, ndarray]:
+    """``points`` equally spaced values in ``band`` and ``f`` of them, NaN at
+    poles and outside the flux domain; warns when every value is NaN."""
     lo, hi = band
     if not lo < hi:
         raise ValueError(f"band must satisfy lo < hi, got ({lo}, {hi})")
     xs = np.linspace(lo, hi, points)
-    ys = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        try:
-            ys[i] = f(x)
-        except (ResonanceError, FluxDomainError):
-            ys[i] = np.nan  # a pole, or a flux where the builder has no model
+    ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    if np.isnan(ys).all():
+        warnings.warn(
+            f"every prescan point in [{lo:.6g}, {hi:.6g}] hit a resonance pole "
+            f"or fell outside the flux domain",
+            stacklevel=3,
+        )
     return xs, ys
+
+
+def _memoized(f: Callable[[float], float]) -> Callable[[float], float]:
+    """``f`` evaluated at most once per exact argument; errors are not kept."""
+    values: dict[float, float] = {}
+
+    def once(x: float) -> float:
+        if x not in values:
+            values[x] = f(x)
+        return values[x]
+
+    return once
 
 
 def _refine_brackets(
@@ -225,16 +266,18 @@ def find_zero_g(
 ) -> float:
     """Builder input (coupler GHz or flux) in ``band`` where g vanishes.
 
-    Prescans the band, then refines with Brent's method to ``tol`` (1 kHz by
+    Prescans the band with one call of ``builder`` on an array of points,
+    then refines with Brent's method on floats to ``tol`` (1 kHz by
     default).  Raises NoRootError (with the endpoint couplings) when g does
-    not change sign; warns when more than one sign change is seen.
+    not change sign; warns when more than one sign change is seen, and when
+    every prescan point is NaN.
     """
 
-    def f(wc: float) -> float:
+    def f(wc):
         return g_net(builder(wc), resonance_floor).g
 
     xs, ys = _scan(f, band, prescan_points)
-    roots = _refine_brackets(f, xs, ys, tol)
+    roots = _refine_brackets(_memoized(f), xs, ys, tol)
     if not roots:
         finite = np.where(np.isfinite(ys))[0]
         f_lo = ys[finite[0]] if finite.size else float("nan")
@@ -262,21 +305,34 @@ def find_zero_zz(
 
     ``backend`` selects the perturbative expansion or exact diagonalization
     (``"numeric"``, truncated at ``levels`` per mode).  Returns an empty list
-    when no roots are found.
+    when no roots are found.  The prescan calls ``builder`` once on an array
+    of points, except on the numeric backend, which diagonalizes one point
+    at a time.
     """
     if backend == "perturbative":
 
-        def f(wc: float) -> float:
+        def prescan(wc):
             return zz_perturbative(builder(wc), resonance_floor=resonance_floor).zeta_total
+
+        f = _memoized(prescan)
 
     elif backend == "numeric":
         from .numdiag import zz_numeric
 
-        def f(wc: float) -> float:
-            return zz_numeric(builder(wc), levels)
+        f = _memoized(lambda wc: zz_numeric(builder(wc), levels))
+
+        def prescan(xs: ndarray) -> ndarray:
+            # one eigensolve per point; a LabelingError ends the find here
+            ys = np.empty_like(xs)
+            for i, x in enumerate(xs):
+                try:
+                    ys[i] = f(x)
+                except (ResonanceError, FluxDomainError):
+                    ys[i] = np.nan
+            return ys
 
     else:
         raise ValueError(f"backend must be 'perturbative' or 'numeric', got {backend!r}")
 
-    xs, ys = _scan(f, band, prescan_points)
+    xs, ys = _scan(prescan, band, prescan_points)
     return _refine_brackets(f, xs, ys, tol)

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+from numpy import ndarray
+
 from .capnet import CapNetwork, Topology, energies_exact
 from .effmodel import ModelBuilder
 from .squid import SquidParams, flux_for_ej
@@ -133,10 +136,11 @@ def frequency_sweep_builder(base: SystemModel) -> ModelBuilder:
     """Builder that moves only the coupler frequency, holding rates fixed.
 
     Matches plots drawn directly against coupler frequency, where the
-    flux-induced coupling suppression is not modeled.
+    flux-induced coupling suppression is not modeled.  Like every library
+    builder it takes a float or a 1-d array of points.
     """
 
-    def build(omegac: float) -> SystemModel:
+    def build(omegac) -> SystemModel:
         return SystemModel(
             omega1=base.omega1, omega2=base.omega2, omegac=omegac,
             eta1=base.eta1, eta2=base.eta2, etac=base.etac,
@@ -152,7 +156,8 @@ def device_flux_builder(device: ReferenceDevice, resonant: bool = True) -> Model
     The requested coupler frequency is converted to a SQUID Josephson energy
     and the device's zero-flux model is tuned there by ``tune_coupler``.
     ``resonant`` puts both qubits at the measurement resonance; otherwise
-    they sit at their sweet spots.
+    they sit at their sweet spots.  A frequency the coupler SQUID cannot
+    reach raises FluxDomainError, or is a NaN point of an array call.
     """
     squid = device.coupler_squid
     e_c, ej_max = device.coupler_ec, squid.ej_sum
@@ -168,9 +173,11 @@ def device_flux_builder(device: ReferenceDevice, resonant: bool = True) -> Model
         g1c=-mag, g2c=-mag if device.g1c_g2c > 0 else mag, g12=device.g12,
     )
 
-    def build(omegac: float) -> SystemModel:
+    def build(omegac) -> SystemModel:
         ej = ej_for_frequency(e_c, omegac)
-        flux_for_ej(squid, ej)  # domain check: frequency must be reachable
+        phi = flux_for_ej(squid, ej)  # domain check: frequency must be reachable
+        if type(phi) is ndarray:
+            ej = np.where(np.isnan(phi), np.nan, ej)
         return tune_coupler(base, e_c, ej_max, ej)
 
     return build

@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from numpy import ndarray
+
 from .errors import FluxDomainError
 
 
@@ -43,17 +46,21 @@ class SquidParams:
         return (self.ej_large - self.ej_small) / self.ej_sum
 
 
-def phase_from_flux_ratio(flux_ratio: float) -> float:
-    """Reduced phase phi_e (radians) from the external flux in units of Phi_0."""
+def phase_from_flux_ratio(flux_ratio):
+    """Reduced phase phi_e (radians) from the external flux in units of Phi_0
+    (a float or an array)."""
     return 2.0 * math.pi * flux_ratio
 
 
-def ej_of_flux(p: SquidParams, phi_e: float) -> float:
+def ej_of_flux(p: SquidParams, phi_e):
     """Effective Josephson energy at reduced external flux phi_e (radians).
 
     sqrt(EJS^2 + EJL^2 + 2 EJS EJL cos(phi_e)); 2pi-periodic and even,
-    bounded by [EJL - EJS, EJL + EJS].
+    bounded by [EJL - EJS, EJL + EJS].  ``phi_e`` is a float or a 1-d array.
     """
+    if type(phi_e) is ndarray:
+        arg = p.ej_small**2 + p.ej_large**2 + 2.0 * p.ej_small * p.ej_large * np.cos(phi_e)
+        return np.sqrt(np.maximum(arg, 0.0))
     arg = (
         p.ej_small**2
         + p.ej_large**2
@@ -91,13 +98,20 @@ def upsilon(p: SquidParams, phi_e: float) -> float:
     return (p.ej_sum / ej) ** 0.25
 
 
-def flux_for_ej(p: SquidParams, ej: float) -> float:
+def flux_for_ej(p: SquidParams, ej):
     """Reduced flux phi_e in [0, pi] at which the SQUID energy equals ej.
 
     Inverse of ej_of_flux on its decreasing branch; raises FluxDomainError
-    outside [EJL - EJS, EJL + EJS].
+    outside [EJL - EJS, EJL + EJS].  On a 1-d array of energies, entries
+    outside that range give NaN instead.
     """
     lo, hi = p.ej_large - p.ej_small, p.ej_sum
+    if type(ej) is ndarray:
+        cos_phi = (ej**2 - p.ej_large**2 - p.ej_small**2) / (
+            2.0 * p.ej_large * p.ej_small
+        )
+        phi = np.arccos(np.clip(cos_phi, -1.0, 1.0))
+        return np.where((lo <= ej) & (ej <= hi), phi, np.nan)
     if not (lo <= ej <= hi):
         raise FluxDomainError(
             f"target energy {ej:.6g} GHz outside the SQUID range "

@@ -19,6 +19,7 @@ from couplerkit.presets import (
     FLOATING_DESIGN_RATES_ASYMMETRIC,
     FLOATING_DESIGN_RATES_SYMMETRIC,
     floating_coupler_design,
+    grounded_coupler_design,
 )
 
 
@@ -238,6 +239,20 @@ class TestFind:
                       "range": flux_range, "points": 200},
         }
 
+    def test_all_poles_warn_before_no_root(self, tmp_path, capsys):
+        # equal qubit frequencies put every point on the Delta_12 floor
+        cfg = {
+            "schema": 1,
+            "model": model_block(FLOATING_DESIGN_RATES_SYMMETRIC, omega2=4.58),
+            "sweep": {"range": [5.0, 6.0]},
+        }
+        path = write_json(tmp_path, "cfg.json", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            with pytest.warns(UserWarning, match=r"every prescan point in \[5, 6\] hit"):
+                rc, out, err = run(capsys, "find", "--config", path, "--target", "zz")
+        assert (rc, out, err) == (3, "", "no zz roots in [5, 6]\n")
+
     def test_zz_roots_printed(self, tmp_path, capsys):
         path = write_json(tmp_path, "cfg.json", self.device_flux_config([0.0, 0.345]))
         rc, out, _ = run(capsys, "find", "--config", path, "--target", "zz")
@@ -374,16 +389,31 @@ class TestFit:
                          self.fit_config(tmp_path, true))
         assert_input_error(rc, err, "dataset: flux values must be distinct")
 
-    def test_optimizer_overflow_is_a_fit_error(self, tmp_path, capsys):
+    def test_optimizer_overflow_is_a_fit_error(self, tmp_path, capsys, monkeypatch):
+        # bounded inputs keep the optimizer in range, so the overflow is injected
+        def overflowing(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(ck.fitkit, "fit_g_vs_flux", overflowing)
+        data_path, true = self.make_dataset(tmp_path, rows=12)
+        rc, out, err = run(capsys, "fit", data_path, "--config",
+                           self.fit_config(tmp_path, true))
+        assert (rc, out) == (4, "")
+        assert err == "fit error: math range error\n", err
+
+    @pytest.mark.parametrize("name, value", [
+        ("g12_mhz", 1e300), ("g1c_g2c_mhz2", -1.2e299), ("coupler_ej_sum_ghz", 2e6),
+    ])
+    def test_huge_init_is_an_input_error(self, tmp_path, capsys, name, value):
         data_path, true = self.make_dataset(tmp_path, rows=12)
         cfg = json.loads(open(self.fit_config(tmp_path, true)).read())
-        cfg["init"]["g12_mhz"] = 1e300
+        cfg["init"][name] = value
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
             rc, out, err = run(capsys, "fit", data_path, "--config",
                                write_json(tmp_path, "huge.json", cfg))
-        assert (rc, out) == (4, "")
-        assert err.startswith("fit error: ") and err.count("\n") == 1, err
+        assert out == ""
+        assert_input_error(rc, err, f"init.{name} = {value!r} is out of range")
 
     @pytest.mark.parametrize("free", [
         ("g12_mhz", "g1c_g2c_mhz2", "coupler_asymmetry"),
@@ -731,3 +761,62 @@ def test_mutated_fit_input_fails_cleanly(fuzz_fit, data):
         assert rc in (2, 4) and out.getvalue() == ""
         assert len(messages) == 1, err.getvalue()
         assert messages[0].startswith(("input error: ", "fit error: ")), messages
+
+
+# -- property test of the netlist reader -----------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_netlists(tmp_path_factory):
+    """Both bundled topologies, and the squids a netlist run config adds."""
+    root = tmp_path_factory.mktemp("netfuzz")
+    nets = [netlist_to_dict(floating_coupler_design(False)),
+            netlist_to_dict(grounded_coupler_design(True))]
+    return root, nets, netlist_run()["squids"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_netlist_fails_cleanly(fuzz_netlists, data):
+    """A netlist file with a dropped key or a null/string/list/number value
+    gives exit 0, 2 or 3 from energies, sweep and find, with at most one
+    non-warning line on stderr; an exception escaping main fails the test."""
+    root, nets, squids = fuzz_netlists
+    net = copy.deepcopy(data.draw(st.sampled_from(nets)))
+    *parents, key = data.draw(st.sampled_from(list(_key_paths(net))))
+    holder = net
+    for p in parents:
+        holder = holder[p]
+    if isinstance(holder, dict) and data.draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = data.draw(REPLACEMENTS)
+    n = next(CONFIG_NAMES)
+    net_path = root / f"net-{n}.json"
+    net_path.write_text(json.dumps(net))
+    cfg_path = root / f"run-{n}.json"
+    cfg_path.write_text(json.dumps({
+        "schema": 1, "netlist": str(net_path), "squids": squids,
+        "sweep": {"quantity": "both", "variable": "coupler-flux",
+                  "range": [0.0, 0.45], "points": 5},
+    }))
+    argv = data.draw(st.sampled_from([
+        ["energies", str(net_path)],
+        ["sweep", "--config", str(cfg_path)],
+        ["find", "--config", str(cfg_path), "--target", "g"],
+        ["find", "--config", str(cfg_path), "--target", "zz"],
+    ]))
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(argv)
+    if rc != 0:
+        assert rc in (2, 3) and out.getvalue() == ""
+        messages = [
+            line for line in err.getvalue().splitlines() if not line.startswith("warning: ")
+        ]
+        assert len(messages) == 1, err.getvalue()
+        assert messages[0].startswith(
+            ("input error: ", "error: ", "no root: ", "no zz roots")
+        ), messages

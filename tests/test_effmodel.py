@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from couplerkit import (
 )
 from couplerkit.presets import (
     ASYMMETRIC_DEVICE,
+    SYMMETRIC_DEVICE,
     FLOATING_COUPLER_BAND_ASYMMETRIC,
     FLOATING_COUPLER_BAND_SYMMETRIC,
     FLOATING_DESIGN_RATES_ASYMMETRIC,
@@ -269,3 +271,64 @@ class TestFindZeroZZ:
             return ck.system_model(e, q1, q2, c, phi_ec=phi)
 
         assert find_zero_zz(builder, (4.38, 5.71)) == []
+
+
+class TestFindEvaluations:
+    """Each find evaluates the prescan as one array call and then refines each
+    bracket with floats, evaluating no point twice."""
+
+    @pytest.mark.parametrize("device, evaluations, roots", [
+        (SYMMETRIC_DEVICE, 156, []),  # the points above 6.041 GHz are unreachable
+        (ASYMMETRIC_DEVICE, 206, ["0x1.4122643d7ff18p+2", "0x1.5823695b151dap+2"]),
+    ])
+    def test_numeric_find_counts(self, monkeypatch, device, evaluations, roots):
+        from couplerkit import numdiag
+
+        seen = []
+        zz_numeric = numdiag.zz_numeric
+
+        def counting(m, levels):
+            seen.append(m.omegac)
+            return zz_numeric(m, levels)
+
+        monkeypatch.setattr(numdiag, "zz_numeric", counting)
+        builder = device_flux_builder(device, resonant=False)
+        found = find_zero_zz(builder, (4.4, 6.5), backend="numeric")
+        assert [r.hex() for r in found] == roots
+        assert len(seen) == evaluations
+        assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("device, float_calls, roots", [
+        (SYMMETRIC_DEVICE, 0, []),
+        (ASYMMETRIC_DEVICE, 11, ["0x1.1ffca25c8f5c8p+2", "0x1.46ca813af7fc4p+2"]),
+    ])
+    def test_perturbative_find_counts(self, device, float_calls, roots):
+        calls = []
+        builder = device_flux_builder(device, resonant=False)
+
+        def counting(x):
+            calls.append(np.size(x))
+            return builder(x)
+
+        assert [r.hex() for r in find_zero_zz(counting, (4.4, 6.5))] == roots
+        assert calls == [200] + [1] * float_calls
+
+
+class TestMaskedPrescan:
+    def test_all_poles_warn(self):
+        # resonant qubits put every point on the Delta_12 floor
+        builder = device_flux_builder(ASYMMETRIC_DEVICE, resonant=True)
+        with pytest.warns(UserWarning, match=r"every prescan point in \[4.4, 6.5\] hit"):
+            assert find_zero_zz(builder, (4.4, 6.5)) == []
+
+    def test_all_poles_warn_before_no_root(self):
+        builder = frequency_sweep_builder(design_model(FLOATING_DESIGN_RATES_SYMMETRIC))
+        with pytest.warns(UserWarning, match="resonance pole or fell outside the flux domain"):
+            with pytest.raises(NoRootError):
+                find_zero_g(builder, (4.5795, 4.5805))
+
+    def test_some_poles_do_not_warn(self):
+        builder = frequency_sweep_builder(design_model(FLOATING_DESIGN_RATES_SYMMETRIC))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_zero_g(builder, (2.8, 4.6)) == pytest.approx(3.5288, abs=2e-3)
