@@ -135,6 +135,8 @@ def _model_block(cfg: dict) -> tuple[SystemModel, ModelBuilder | None]:
         raise NetlistError(
             "coupler-flux sweeps from a model block need numeric 'coupler_ec'"
         ) from exc
+    if not e_c > 0:
+        raise NetlistError(f"coupler_ec = {e_c!r} must be positive")
     ej_max = ej_of_flux(squid, 0.0)
 
     def build(flux_ratio) -> SystemModel:  # a float or a 1-d array
@@ -280,6 +282,48 @@ def cmd_energies(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _sweep_row(
+    builder: ModelBuilder,
+    x: float,
+    want_g: bool,
+    want_pert: bool,
+    want_numeric: bool,
+    levels: tuple[int, int, int],
+) -> dict[str, str]:
+    """Cells of the sweep row at ``x`` from the float model there.
+
+    A cell is left out where the model, g or a ZZ is undefined, with a
+    ``warning: x = ...`` line on stderr for each; any other error raises.
+    """
+    cells = {"x_value": _fmt(x)}
+    try:
+        m = builder(x)
+    except CouplerKitError as exc:
+        print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
+        return cells
+    if want_g:
+        try:
+            eff = effmodel.g_net(m)
+            cells["g_eff_mhz"] = _fmt(eff.g_eff * 1e3)
+            cells["g_mhz"] = _fmt(eff.g * 1e3)
+        except ResonanceError as exc:
+            print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
+    if want_pert:
+        try:
+            zz = effmodel.zz_perturbative(m)
+            cells["zeta2_mhz"] = _fmt(zz.zeta2 * 1e3)
+            cells["zeta34_mhz"] = _fmt(zz.zeta34 * 1e3)
+            cells["zeta_pert_mhz"] = _fmt(zz.zeta_total * 1e3)
+        except ResonanceError as exc:
+            print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
+    if want_numeric:
+        try:
+            cells["zeta_numeric_mhz"] = _fmt(numdiag.zz_numeric(m, levels) * 1e3)
+        except (LabelingError, ResonanceError) as exc:
+            print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
+    return cells
+
+
 def _sweep_rows(
     builder: ModelBuilder,
     xs: np.ndarray,
@@ -287,44 +331,51 @@ def _sweep_rows(
     backend: str,
     levels: tuple[int, int, int],
 ):
+    """Header and rows of the sweep CSV.
+
+    The model, g and the perturbative ZZ are one array evaluation over
+    ``xs``; the numeric ZZ is one eigensolve per row.  A row with a
+    non-finite array cell or a failed numeric cell, and every row when the
+    array builder raises, is rebuilt by ``_sweep_row``, which prints its
+    warnings or raises as a per-row evaluation does.
+    """
     want_g = quantity in ("g", "both")
     want_zz = quantity in ("zz", "both")
     want_numeric = want_zz and backend in ("numeric", "both")
     want_pert = want_zz and backend in ("effective", "both")
-
     header = ["x_value", "g_eff_mhz", "g_mhz", "zeta2_mhz", "zeta34_mhz", "zeta_pert_mhz"]
     if want_numeric:
         header.append("zeta_numeric_mhz")
+
+    def float_row(x: float) -> list[str]:
+        cells = _sweep_row(builder, x, want_g, want_pert, want_numeric, levels)
+        return [cells.get(h, "") for h in header]
+
+    try:
+        m = builder(xs)
+    except (CouplerKitError, ValueError, ArithmeticError):
+        return header, [float_row(x) for x in xs.tolist()]
+    values = {"x_value": xs}
+    if want_g:
+        eff = effmodel.g_net(m)
+        values["g_eff_mhz"], values["g_mhz"] = eff.g_eff * 1e3, eff.g * 1e3
+    if want_pert:
+        zz = effmodel.zz_perturbative(m)
+        values["zeta2_mhz"] = zz.zeta2 * 1e3
+        values["zeta34_mhz"] = zz.zeta34 * 1e3
+        values["zeta_pert_mhz"] = zz.zeta_total * 1e3
+    # m.omegac is NaN where the builder could not model the point
+    blank_rows = ~np.isfinite(np.column_stack([m.omegac, *values.values()])).all(axis=1)
+    text = {name: [_fmt(v) for v in column.tolist()] for name, column in values.items()}
+    columns = [text.get(h, [""] * len(xs)) for h in header[:6]]
     rows = []
-    for x in xs:
-        cells = {"x_value": _fmt(float(x))}
-        try:
-            m = builder(float(x))
-        except CouplerKitError as exc:
-            print(f"warning: x = {_fmt(float(x))}: {exc}", file=sys.stderr)
-            rows.append([cells.get(h, "") for h in header])
-            continue
-        if want_g:
+    for x, blank, *row in zip(xs.tolist(), blank_rows.tolist(), *columns):
+        if not blank and want_numeric:
             try:
-                eff = effmodel.g_net(m)
-                cells["g_eff_mhz"] = _fmt(eff.g_eff * 1e3)
-                cells["g_mhz"] = _fmt(eff.g * 1e3)
-            except ResonanceError as exc:
-                print(f"warning: x = {_fmt(float(x))}: {exc}", file=sys.stderr)
-        if want_pert:
-            try:
-                zz = effmodel.zz_perturbative(m)
-                cells["zeta2_mhz"] = _fmt(zz.zeta2 * 1e3)
-                cells["zeta34_mhz"] = _fmt(zz.zeta34 * 1e3)
-                cells["zeta_pert_mhz"] = _fmt(zz.zeta_total * 1e3)
-            except ResonanceError as exc:
-                print(f"warning: x = {_fmt(float(x))}: {exc}", file=sys.stderr)
-        if want_numeric:
-            try:
-                cells["zeta_numeric_mhz"] = _fmt(numdiag.zz_numeric(m, levels) * 1e3)
-            except (LabelingError, ResonanceError) as exc:
-                print(f"warning: x = {_fmt(float(x))}: {exc}", file=sys.stderr)
-        rows.append([cells.get(h, "") for h in header])
+                row.append(_fmt(numdiag.zz_numeric(builder(x), levels) * 1e3))
+            except CouplerKitError:
+                blank = True  # _sweep_row warns, or raises as the float path does
+        rows.append(float_row(x) if blank else row)
     return header, rows
 
 
@@ -338,6 +389,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise NetlistError(f"sweep block needs 'points': {exc}") from exc
     if points < 2:
         raise NetlistError(f"sweep needs at least 2 points, got {points}")
+    _bounded("sweep.points", points)  # every row is allocated at once
     quantity = sweep.get("quantity", "both")
     if quantity not in ("g", "zz", "both"):
         raise NetlistError(f"sweep.quantity must be g|zz|both, got {quantity!r}")

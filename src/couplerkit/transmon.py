@@ -228,16 +228,13 @@ def coupling_rates(
     phi_e1: float = 0.0,
     phi_e2: float = 0.0,
     phi_ec: float = 0.0,
-    use_xi_correction: bool = True,
 ) -> tuple[float, float, float]:
     """Coupling rates (g1c, g2c, g12) in GHz from the coupling energies.
 
-    g_jk = (E_jk / sqrt(2)) (EJj/ECj * EJk/ECk)^(1/4), optionally times the
-    [1 - (xi_j + xi_k)/8] correction; signs are inherited from the energies.
+    g_jk = (E_jk / sqrt(2)) (EJj/ECj * EJk/ECk)^(1/4) [1 - (xi_j + xi_k)/8],
+    xi = sqrt(2 EC/EJ); signs are inherited from the energies.
     """
-    return _coupling_rates_at(
-        e, q1, q2, c, *_squid_energies(q1, q2, c, phi_e1, phi_e2, phi_ec), use_xi_correction
-    )
+    return _coupling_rates_at(e, q1, q2, c, *_squid_energies(q1, q2, c, phi_e1, phi_e2, phi_ec))
 
 
 def _coupling_rates_at(
@@ -248,7 +245,6 @@ def _coupling_rates_at(
     ej1: float,
     ej2: float,
     ejc: float,
-    use_xi_correction: bool,
 ) -> tuple[float, float, float]:
     """``coupling_rates`` at given Josephson energies of the three modes
     (three floats, or three arrays of one length)."""
@@ -266,12 +262,8 @@ def _coupling_rates_at(
 
     def rate(e_jk: float, ra: float, rb: float, eca: float, eja: float,
              ecb: float, ejb: float) -> float:
-        g = e_jk / math.sqrt(2.0) * (ra * rb) ** 0.25
-        if use_xi_correction:
-            xa = sqrt(2.0 * eca / eja)
-            xb = sqrt(2.0 * ecb / ejb)
-            g *= 1.0 - (xa + xb) / 8.0
-        return g
+        xa, xb = sqrt(2.0 * eca / eja), sqrt(2.0 * ecb / ejb)
+        return e_jk / math.sqrt(2.0) * (ra * rb) ** 0.25 * (1.0 - (xa + xb) / 8.0)
 
     g1c = rate(e.e1c, r1, rc, q1.e_c, ej1, c.e_c, ejc)
     g2c = rate(e.e2c, r2, rc, q2.e_c, ej2, c.e_c, ejc)
@@ -287,11 +279,10 @@ def system_model(
     phi_e1: float = 0.0,
     phi_e2: float = 0.0,
     phi_ec: float = 0.0,
-    use_xi_correction: bool = True,
 ) -> SystemModel:
     """Assemble the full three-mode model at the given flux biases."""
     ej1, ej2, ejc = _squid_energies(q1, q2, c, phi_e1, phi_e2, phi_ec)
-    g1c, g2c, g12 = _coupling_rates_at(e, q1, q2, c, ej1, ej2, ejc, use_xi_correction)
+    g1c, g2c, g12 = _coupling_rates_at(e, q1, q2, c, ej1, ej2, ejc)
     return SystemModel(
         omega1=frequency_from_energies(q1.e_c, ej1),
         omega2=frequency_from_energies(q2.e_c, ej2),

@@ -107,7 +107,7 @@ def test_criterion_2_reference_design_couplings():
         c = TransmonParams(
             e.ecc, SquidParams.from_sum_asymmetry(
                 ck.ej_for_frequency(e.ecc, wc), 0.0), TransmonRole.COUPLER)
-        g1c, g2c, g12 = ck.coupling_rates(e, q1, q2, c, use_xi_correction=True)
+        g1c, g2c, g12 = ck.coupling_rates(e, q1, q2, c)
         computed = {"g12": g12 * 1e3, "g1c": g1c * 1e3, "g2c": g2c * 1e3}
         computed_all[name] = computed
         for key, target in (("g12", t12), ("g1c", t1c), ("g2c", t2c)):

@@ -4,13 +4,16 @@ import csv
 import io
 import itertools
 import json
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import couplerkit as ck
+from couplerkit import cli, effmodel, numdiag
 from couplerkit.capnet import netlist_to_dict
 from couplerkit.cli import main
 from couplerkit.fitkit import CouplerFluxModel, synth_g_dataset
@@ -557,6 +560,25 @@ class TestRunConfigErrors:
         assert out == ""
         assert_input_error(rc, err, text)
 
+    def test_sweep_points_above_bound(self, tmp_path, capsys):
+        cfg = model_run(sweep={"quantity": "g", "range": [2.77, 4.0], "points": 1_000_001})
+        path = write_json(tmp_path, "cfg.json", cfg)
+        rc, out, err = run(capsys, "sweep", "--config", path)
+        assert out == ""
+        assert_input_error(rc, err, "sweep.points = 1000001 is out of range")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("coupler_ec", [-0.2, 0.0])
+    def test_coupler_ec_must_be_positive(self, tmp_path, capsys, command, coupler_ec):
+        cfg = model_run(
+            coupler_squid={"ej_sum": 30.0}, coupler_ec=coupler_ec,
+            sweep={"quantity": "g", "variable": "coupler-flux", "range": [0.0, 0.4], "points": 5},
+        )
+        path = write_json(tmp_path, "cfg.json", cfg)
+        rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
+        assert out == ""
+        assert_input_error(rc, err, f"coupler_ec = {coupler_ec!r} must be positive")
+
     def test_find_without_range(self, tmp_path, capsys):
         cfg = model_run()
         del cfg["sweep"]["range"]
@@ -820,3 +842,119 @@ def test_mutated_netlist_fails_cleanly(fuzz_netlists, data):
         assert messages[0].startswith(
             ("input error: ", "error: ", "no root: ", "no zz roots")
         ), messages
+
+
+# -- property test of the sweep against a per-row reference ----------------------
+
+def per_row_sweep_rows(builder, xs, quantity, backend, levels):
+    """The sweep as one float model, g and ZZ evaluation per row."""
+    want_g = quantity in ("g", "both")
+    want_zz = quantity in ("zz", "both")
+    want_numeric = want_zz and backend in ("numeric", "both")
+    want_pert = want_zz and backend in ("effective", "both")
+    header = ["x_value", "g_eff_mhz", "g_mhz", "zeta2_mhz", "zeta34_mhz", "zeta_pert_mhz"]
+    if want_numeric:
+        header.append("zeta_numeric_mhz")
+    rows = []
+    for x in xs:
+        x = float(x)
+        cells = {"x_value": cli._fmt(x)}
+        try:
+            m = builder(x)
+        except ck.CouplerKitError as exc:
+            print(f"warning: x = {cli._fmt(x)}: {exc}", file=sys.stderr)
+            rows.append([cells.get(h, "") for h in header])
+            continue
+        if want_g:
+            try:
+                eff = effmodel.g_net(m)
+                cells["g_eff_mhz"] = cli._fmt(eff.g_eff * 1e3)
+                cells["g_mhz"] = cli._fmt(eff.g * 1e3)
+            except ck.ResonanceError as exc:
+                print(f"warning: x = {cli._fmt(x)}: {exc}", file=sys.stderr)
+        if want_pert:
+            try:
+                zz = effmodel.zz_perturbative(m)
+                cells["zeta2_mhz"] = cli._fmt(zz.zeta2 * 1e3)
+                cells["zeta34_mhz"] = cli._fmt(zz.zeta34 * 1e3)
+                cells["zeta_pert_mhz"] = cli._fmt(zz.zeta_total * 1e3)
+            except ck.ResonanceError as exc:
+                print(f"warning: x = {cli._fmt(x)}: {exc}", file=sys.stderr)
+        if want_numeric:
+            try:
+                cells["zeta_numeric_mhz"] = cli._fmt(numdiag.zz_numeric(m, levels) * 1e3)
+            except (ck.LabelingError, ck.ResonanceError) as exc:
+                print(f"warning: x = {cli._fmt(x)}: {exc}", file=sys.stderr)
+        rows.append([cells.get(h, "") for h in header])
+    return header, rows
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def sweep_configs(draw):
+    """Sweeps that cross resonance poles, flux-domain edges and, for a large
+    coupler E_C, a coupler frequency that turns negative partway."""
+    route = draw(st.sampled_from(["frequency", "model-flux", "netlist"]))
+    rates = draw(st.sampled_from(
+        [FLOATING_DESIGN_RATES_SYMMETRIC, FLOATING_DESIGN_RATES_ASYMMETRIC]
+    ))
+    dev = ASYMMETRIC_DEVICE
+    if route == "frequency":
+        w1 = draw(st.floats(4.0, 4.7))
+        w2 = draw(st.one_of(st.just(w1), st.floats(4.0, 4.7)))  # w1 = w2: all on the floor
+        lo = draw(st.one_of(st.just(w1), st.just(w2), st.floats(3.5, 4.5)))
+        hi = lo + draw(st.floats(0.05, 1.5))
+        cfg = {"model": model_block(rates, omegac=5.0, omega1=w1, omega2=w2),
+               "sweep": {"variable": "coupler-frequency", "range": [lo, hi]}}
+    elif route == "model-flux":
+        cfg = {"model": model_block(rates, omegac=dev.omegac_max,
+                                    omega1=dev.omega1_max, omega2=dev.omega2_max),
+               "coupler_squid": {"ej_sum": dev.coupler_squid.ej_sum,
+                                 "asymmetry": draw(st.sampled_from([0.0, 0.2]))},
+               "coupler_ec": draw(st.one_of(st.sampled_from([dev.coupler_ec, 0.3, 100.0]),
+                                            st.floats(0.05, 0.5))),
+               "sweep": {"variable": "coupler-flux",
+                         "range": [draw(st.sampled_from([-0.5, 0.0, -0.2])),
+                                   draw(st.sampled_from([0.5, 0.345, 0.6]))]}}
+    else:
+        net = draw(st.sampled_from([floating_coupler_design(True), floating_coupler_design(False),
+                                    grounded_coupler_design(True)]))
+        e = ck.energies_exact(net)
+        squids = {
+            name: {"ej_sum": ck.ej_for_frequency(ec, draw(st.floats(lo_f, hi_f))),
+                   "asymmetry": draw(st.sampled_from([0.0, 0.1, 0.3]))}
+            for name, ec, lo_f, hi_f in (("qubit1", e.ec1, 4.0, 4.7), ("qubit2", e.ec2, 4.0, 4.7),
+                                         ("coupler", e.ecc, 3.5, 6.6))
+        }
+        flux = {"qubit1": draw(st.floats(-0.3, 0.3)), "qubit2": draw(st.floats(-0.3, 0.3))}
+        cfg = {"netlist": netlist_to_dict(net), "squids": squids, "flux": flux,
+               "sweep": {"variable": "coupler-flux", "range": [-0.6, 0.6]}}
+    cfg["schema"] = 1
+    cfg["sweep"]["points"] = draw(st.integers(2, 60))
+    cfg["sweep"]["quantity"] = draw(st.sampled_from(["g", "zz", "both"]))
+    backend = draw(st.sampled_from([["--backend", "effective"],
+                                    ["--backend", "both", "--levels", "3,3,3"]]))
+    return cfg, backend
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sweep_configs())
+def test_sweep_matches_per_row_reference(tmp_path_factory, case):
+    """The array sweep prints what one float evaluation per row prints:
+    the same CSV, the same warnings and the same exit code."""
+    cfg, backend = case
+    path = tmp_path_factory.mktemp("sweep") / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["sweep", "--config", str(path), *backend]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # EJ/EC below the transmon regime
+        got = run_in_process(argv)
+        with mock.patch.object(cli, "_sweep_rows", per_row_sweep_rows):
+            want = run_in_process(argv)
+    assert got == want

@@ -153,23 +153,16 @@ class TestCouplingRates:
             squid=SquidParams.from_sum_asymmetry(2.0 * c.squid.ej_sum, 0.0),
             role=TransmonRole.COUPLER,
         )
-        g_a = coupling_rates(e, q1, q2, c, use_xi_correction=False)
-        g_b = coupling_rates(e, q1, q2, c2, use_xi_correction=False)
-        assert g_b[0] / g_a[0] == pytest.approx(2.0**0.25, rel=1e-12)
-        assert g_b[1] / g_a[1] == pytest.approx(2.0**0.25, rel=1e-12)
-        assert g_b[2] == pytest.approx(g_a[2], rel=1e-12)  # g12 untouched
+        g_a = coupling_rates(e, q1, q2, c)
+        g_b = coupling_rates(e, q1, q2, c2)
 
-    def test_xi_correction_small_in_deep_transmon_regime(self):
-        e = ModeEnergies(ec1=0.1, ec2=0.1, ecc=0.1, e12=-0.002, e1c=-0.013,
-                         e2c=-0.013)
-        # EJ/EC = 60 for every mode
-        q1 = make_transmon(0.1, 6.0, TransmonRole.QUBIT_1)
-        q2 = make_transmon(0.1, 6.0, TransmonRole.QUBIT_2)
-        c = make_transmon(0.1, 6.0, TransmonRole.COUPLER)
-        on = coupling_rates(e, q1, q2, c, use_xi_correction=True)
-        off = coupling_rates(e, q1, q2, c, use_xi_correction=False)
-        for a, b in zip(on, off):
-            assert abs(a - b) / abs(b) < 0.05
+        def xi(t):  # at zero flux the SQUID energy is its sum
+            return math.sqrt(2.0 * t.e_c / t.squid.ej_sum)
+
+        for k, q in ((0, q1), (1, q2)):
+            ratio = 2.0**0.25 * (1.0 - (xi(q) + xi(c2)) / 8.0) / (1.0 - (xi(q) + xi(c)) / 8.0)
+            assert g_b[k] / g_a[k] == pytest.approx(ratio, rel=1e-12)
+        assert g_b[2] == pytest.approx(g_a[2], rel=1e-12)  # g12 untouched
 
 
 class TestSystemModel:
