@@ -31,6 +31,7 @@ from .transmon import (
     SystemModel,
     TransmonParams,
     TransmonRole,
+    frequency_from_energies,
     system_model,
     tune_coupler,
 )
@@ -138,6 +139,12 @@ def _model_block(cfg: dict) -> tuple[SystemModel, ModelBuilder | None]:
     if not e_c > 0:
         raise NetlistError(f"coupler_ec = {e_c!r} must be positive")
     ej_max = ej_of_flux(squid, 0.0)
+    omegac_max = frequency_from_energies(e_c, ej_max)
+    if not omegac_max > 0:
+        raise NetlistError(
+            f"coupler_ec = {e_c!r} leaves the coupler no positive frequency "
+            f"(at most {_fmt(omegac_max)} GHz with coupler_squid)"
+        )
 
     def build(flux_ratio) -> SystemModel:  # a float or a 1-d array
         ej = ej_of_flux(squid, phase_from_flux_ratio(flux_ratio))

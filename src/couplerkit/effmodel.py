@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from .errors import FluxDomainError, NoRootError, ResonanceError
 from .transmon import SystemModel
 
-DEFAULT_RESONANCE_FLOOR = 1e-3   # GHz
+RESONANCE_FLOOR = 1e-3           # GHz
 ROOT_TOLERANCE = 1e-6            # GHz, 1 kHz
 PRESCAN_POINTS = 200
 # |g_jc/Delta_j| above which dressed_frequencies warns, and at which it refuses
@@ -64,40 +64,38 @@ class DressedFrequencies:
     omega02_2: float
 
 
-def _check_floor(name: str, value: float, floor: float) -> None:
-    if abs(value) < floor:
-        raise ResonanceError(name, value, floor)
+def _check_floor(name: str, value: float) -> None:
+    if abs(value) < RESONANCE_FLOOR:
+        raise ResonanceError(name, value, RESONANCE_FLOOR)
 
 
-def _blank_poles(floor: float, denominators: tuple, values: tuple) -> list[ndarray]:
-    """``values`` with NaN at every point where a denominator is below ``floor``
-    in magnitude: the array form of ``_check_floor``."""
-    poles = np.logical_or.reduce([abs(d) < floor for d in denominators])
+def _blank_poles(denominators: tuple, values: tuple) -> list[ndarray]:
+    """``values`` with NaN at every point where a denominator is below
+    RESONANCE_FLOOR in magnitude: the array form of ``_check_floor``."""
+    poles = np.logical_or.reduce([abs(d) < RESONANCE_FLOOR for d in denominators])
     return [np.where(poles, np.nan, v) for v in values]
 
 
-def g_net(m: SystemModel, resonance_floor: float = DEFAULT_RESONANCE_FLOOR) -> EffectiveCoupling:
+def g_net(m: SystemModel) -> EffectiveCoupling:
     """Net qubit-qubit coupling g = g12 - g_eff.
 
     g_eff = (g1c g2c / 2) sum_j (1/Delta_j + 1/Sigma_j).  Raises
-    ResonanceError when a qubit-coupler detuning is below ``resonance_floor``.
+    ResonanceError when a qubit-coupler detuning is below RESONANCE_FLOOR.
     """
     d1, d2 = m.omegac - m.omega1, m.omegac - m.omega2
     s1, s2 = m.omegac + m.omega1, m.omegac + m.omega2
     if type(d1) is ndarray:
-        d1, d2, s1, s2 = _blank_poles(resonance_floor, (d1, d2), (d1, d2, s1, s2))
+        d1, d2, s1, s2 = _blank_poles((d1, d2), (d1, d2, s1, s2))
     else:
-        _check_floor("Delta_1", d1, resonance_floor)
-        _check_floor("Delta_2", d2, resonance_floor)
+        _check_floor("Delta_1", d1)
+        _check_floor("Delta_2", d2)
     g_eff = 0.5 * m.g1c * m.g2c * (1.0 / d1 + 1.0 / s1 + 1.0 / d2 + 1.0 / s2)
     return EffectiveCoupling(
         g=m.g12 - g_eff, g_eff=g_eff, delta1=d1, delta2=d2, sigma1=s1, sigma2=s2
     )
 
 
-def dressed_frequencies(
-    m: SystemModel, resonance_floor: float = DEFAULT_RESONANCE_FLOOR
-) -> DressedFrequencies:
+def dressed_frequencies(m: SystemModel) -> DressedFrequencies:
     """Coupler-dressed 01 and 02 qubit frequencies to second order in g_jc.
 
     For each qubit (Duffing ladder, coupling g (a c+ + a+ c - a c - a+ c+)):
@@ -116,10 +114,10 @@ def dressed_frequencies(
     ):
         d = m.omegac - w
         s = m.omegac + w
-        _check_floor(f"Delta_{tag}", d, resonance_floor)
-        _check_floor(f"Delta_{tag} + eta_{tag}", d + eta, resonance_floor)
-        _check_floor(f"Sigma_{tag} - eta_{tag}", s - eta, resonance_floor)
-        _check_floor(f"Sigma_{tag} - 2 eta_{tag}", s - 2 * eta, resonance_floor)
+        _check_floor(f"Delta_{tag}", d)
+        _check_floor(f"Delta_{tag} + eta_{tag}", d + eta)
+        _check_floor(f"Sigma_{tag} - eta_{tag}", s - eta)
+        _check_floor(f"Sigma_{tag} - 2 eta_{tag}", s - 2 * eta)
         ratio = abs(g / d)
         if ratio >= DISPERSIVE_MAX_RATIO:
             raise ResonanceError(f"|g_{tag}c/Delta_{tag}|", ratio, DISPERSIVE_MAX_RATIO)
@@ -142,9 +140,7 @@ def dressed_frequencies(
     )
 
 
-def zz_perturbative(
-    m: SystemModel, resonance_floor: float = DEFAULT_RESONANCE_FLOOR
-) -> ZZBreakdown:
+def zz_perturbative(m: SystemModel) -> ZZBreakdown:
     """Perturbative ZZ interaction zeta = zeta2 + zeta34.
 
     zeta2 = -2 g12^2 (eta1 + eta2) / [(D12 - eta1)(D12 + eta2)] is flux
@@ -156,29 +152,30 @@ def zz_perturbative(
     d1, d2 = m.omegac - m.omega1, m.omegac - m.omega2
     if type(d12) is ndarray:
         d12, d1, d2 = _blank_poles(
-            resonance_floor,
             (d12, d12 - m.eta1, d12 + m.eta2, d1, d2, d1 + d2 + m.etac),
             (d12, d1, d2),
         )
     else:
-        _check_floor("Delta_12", d12, resonance_floor)
-        _check_floor("Delta_12 - eta_1", d12 - m.eta1, resonance_floor)
-        _check_floor("Delta_12 + eta_2", d12 + m.eta2, resonance_floor)
-        _check_floor("Delta_1", d1, resonance_floor)
-        _check_floor("Delta_2", d2, resonance_floor)
-        _check_floor("Delta_1 + Delta_2 + eta_c", d1 + d2 + m.etac, resonance_floor)
+        _check_floor("Delta_12", d12)
+        _check_floor("Delta_12 - eta_1", d12 - m.eta1)
+        _check_floor("Delta_12 + eta_2", d12 + m.eta2)
+        _check_floor("Delta_1", d1)
+        _check_floor("Delta_2", d2)
+        _check_floor("Delta_1 + Delta_2 + eta_c", d1 + d2 + m.etac)
 
-    zeta2 = -2.0 * m.g12**2 * (m.eta1 + m.eta2) / ((d12 - m.eta1) * (d12 + m.eta2))
+    zeta2 = -2.0 * (m.g12 * m.g12) * (m.eta1 + m.eta2) / ((d12 - m.eta1) * (d12 + m.eta2))
 
     gg = m.g1c * m.g2c
+    gg2 = gg * gg
+    inv = 1.0 / d1 + 1.0 / d2
     zeta34 = (
         -2.0 * m.g12 * gg * (
             (1.0 / d2) * (1.0 / d12 + 2.0 / (-d12 + m.eta1))
             + (1.0 / d1) * (2.0 / (d12 + m.eta2) - 1.0 / d12)
         )
-        - 2.0 * gg**2 / (d1 + d2 + m.etac) * (1.0 / d1 + 1.0 / d2) ** 2
-        + gg**2 / d1**2 * (2.0 / (d12 + m.eta2) - 1.0 / d12 + 1.0 / d2)
-        + gg**2 / d2**2 * (2.0 / (-d12 + m.eta1) + 1.0 / d12 + 1.0 / d1)
+        - 2.0 * gg2 / (d1 + d2 + m.etac) * (inv * inv)
+        + gg2 / (d1 * d1) * (2.0 / (d12 + m.eta2) - 1.0 / d12 + 1.0 / d2)
+        + gg2 / (d2 * d2) * (2.0 / (-d12 + m.eta1) + 1.0 / d12 + 1.0 / d1)
     )
     return ZZBreakdown(zeta2=zeta2, zeta34=zeta34, delta12=d12)
 
@@ -221,7 +218,7 @@ def _memoized(f: Callable[[float], float]) -> Callable[[float], float]:
 
 
 def _refine_brackets(
-    f: Callable[[float], float], xs: np.ndarray, ys: np.ndarray, tol: float
+    f: Callable[[float], float], xs: np.ndarray, ys: np.ndarray
 ) -> list[float]:
     """Brent-refine every sign change; discard brackets that converge onto poles."""
     roots = []
@@ -239,7 +236,7 @@ def _refine_brackets(
         if yb == 0.0 or np.sign(ya) == np.sign(yb):
             continue
         try:
-            root = brentq(f, xs[i], xs[i + 1], xtol=tol)
+            root = brentq(f, xs[i], xs[i + 1], xtol=ROOT_TOLERANCE)
             value = f(root)
         except (ResonanceError, FluxDomainError):
             continue  # bracket straddles a resonance pole or a flux-domain edge
@@ -260,24 +257,22 @@ def _refine_brackets(
 def find_zero_g(
     builder: ModelBuilder,
     band: Sequence[float],
-    tol: float = ROOT_TOLERANCE,
     prescan_points: int = PRESCAN_POINTS,
-    resonance_floor: float = DEFAULT_RESONANCE_FLOOR,
 ) -> float:
     """Builder input (coupler GHz or flux) in ``band`` where g vanishes.
 
     Prescans the band with one call of ``builder`` on an array of points,
-    then refines with Brent's method on floats to ``tol`` (1 kHz by
-    default).  Raises NoRootError (with the endpoint couplings) when g does
-    not change sign; warns when more than one sign change is seen, and when
-    every prescan point is NaN.
+    then refines with Brent's method on floats to ROOT_TOLERANCE (1 kHz).
+    Raises NoRootError (with the endpoint couplings) when g does not change
+    sign; warns when more than one sign change is seen, and when every
+    prescan point is NaN.
     """
 
     def f(wc):
-        return g_net(builder(wc), resonance_floor).g
+        return g_net(builder(wc)).g
 
     xs, ys = _scan(f, band, prescan_points)
-    roots = _refine_brackets(_memoized(f), xs, ys, tol)
+    roots = _refine_brackets(_memoized(f), xs, ys)
     if not roots:
         finite = np.where(np.isfinite(ys))[0]
         f_lo = ys[finite[0]] if finite.size else float("nan")
@@ -297,9 +292,7 @@ def find_zero_zz(
     band: Sequence[float],
     backend: str = "perturbative",
     levels: tuple[int, int, int] = (5, 5, 5),
-    tol: float = ROOT_TOLERANCE,
     prescan_points: int = PRESCAN_POINTS,
-    resonance_floor: float = DEFAULT_RESONANCE_FLOOR,
 ) -> list[float]:
     """All coupler frequencies in ``band`` where the ZZ interaction vanishes.
 
@@ -312,7 +305,7 @@ def find_zero_zz(
     if backend == "perturbative":
 
         def prescan(wc):
-            return zz_perturbative(builder(wc), resonance_floor=resonance_floor).zeta_total
+            return zz_perturbative(builder(wc)).zeta_total
 
         f = _memoized(prescan)
 
@@ -335,4 +328,4 @@ def find_zero_zz(
         raise ValueError(f"backend must be 'perturbative' or 'numeric', got {backend!r}")
 
     xs, ys = _scan(prescan, band, prescan_points)
-    return _refine_brackets(f, xs, ys, tol)
+    return _refine_brackets(f, xs, ys)

@@ -59,14 +59,11 @@ def ej_of_flux(p: SquidParams, phi_e):
     bounded by [EJL - EJS, EJL + EJS].  ``phi_e`` is a float or a 1-d array.
     """
     if type(phi_e) is ndarray:
-        arg = p.ej_small**2 + p.ej_large**2 + 2.0 * p.ej_small * p.ej_large * np.cos(phi_e)
-        return np.sqrt(np.maximum(arg, 0.0))
-    arg = (
-        p.ej_small**2
-        + p.ej_large**2
-        + 2.0 * p.ej_small * p.ej_large * math.cos(phi_e)
-    )
-    return math.sqrt(max(arg, 0.0))
+        cos, sqrt, maximum = np.cos, np.sqrt, np.maximum
+    else:
+        cos, sqrt, maximum = math.cos, math.sqrt, max
+    arg = p.ej_small**2 + p.ej_large**2 + 2.0 * p.ej_small * p.ej_large * cos(phi_e)
+    return sqrt(maximum(arg, 0.0))
 
 
 def phi0_of_flux(p: SquidParams, phi_e: float) -> float:

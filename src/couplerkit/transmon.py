@@ -9,8 +9,9 @@ The flux-to-model functions (``ej_for_frequency``, ``frequency_from_energies``,
 ``tune_coupler``) take the swept quantity as a float or as a 1-d array.  On a
 float they use ``math`` and raise FluxDomainError where the Josephson energy
 is not positive.  On an array every entry is computed with the same
-operations, and an entry where the float call would raise FluxDomainError is
-NaN instead; any other error still raises.
+operations, so it has the bits of the float call, and an entry where the
+float call would raise FluxDomainError is NaN instead; any other error still
+raises.
 """
 
 from __future__ import annotations
@@ -175,41 +176,27 @@ def zpf_from_energies(e_c: float, e_j: float) -> tuple[float, float]:
 
 
 def ej_for_frequency(e_c: float, omega):
-    """Josephson energy whose 01 frequency equals ``omega`` (Newton solve).
+    """Josephson energy whose 01 frequency equals ``omega``.
 
-    Each entry of an array ``omega`` takes the same Newton steps as a float
-    and stops where the float would.
+    ``frequency_from_energies`` is a quadratic in sqrt(EJ); its positive root
+    gives the closed form
+
+        EJ = [(omega + EC) + sqrt((omega + EC)^2 + 4 EC^2)]^2 / (32 EC).
     """
     if type(omega) is ndarray:
-        return _ej_for_frequencies(e_c, omega)
-    if not omega > 0:
+        bad = np.flatnonzero(omega <= 0)  # NaN entries pass through as NaN
+        if bad.size:
+            raise ValueError(f"omega must be positive, got {omega[bad[0]]}")
+        sqrt = np.sqrt
+    elif not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    e_j = (omega + e_c) ** 2 / (8.0 * e_c)
-    for _ in range(100):
-        f = frequency_from_energies(e_c, e_j) - omega
-        # d/dEJ sqrt(8 EJ EC) dominates; xi-term derivative is negligible
-        step = f / math.sqrt(2.0 * e_c / e_j)
-        e_j -= step
-        if abs(step) < 1e-14 * e_j:
-            break
-    return e_j
-
-
-def _ej_for_frequencies(e_c: float, omega: ndarray) -> ndarray:
-    bad = np.flatnonzero(omega <= 0)  # NaN entries pass through as NaN
-    if bad.size:
-        raise ValueError(f"omega must be positive, got {omega[bad[0]]}")
-    e_j = (omega + e_c) ** 2 / (8.0 * e_c)
-    todo = np.arange(e_j.size)  # entries still iterating
-    with np.errstate(invalid="ignore"):  # an entry reaching EJ <= 0 ends as NaN
-        for _ in range(100):
-            ej = e_j[todo]
-            step = (frequency_from_energies(e_c, ej) - omega[todo]) / np.sqrt(2.0 * e_c / ej)
-            e_j[todo] = ej = ej - step
-            todo = todo[np.abs(step) >= 1e-14 * ej]
-            if not todo.size:
-                break
-    return e_j
+    else:
+        sqrt = math.sqrt
+    if not e_c > 0:
+        raise ValueError(f"e_c must be positive, got {e_c}")
+    t = omega + e_c
+    root = t + sqrt(t * t + 4.0 * e_c * e_c)
+    return root * root / (32.0 * e_c)
 
 
 def _squid_energies(q1, q2, c, phi_e1, phi_e2, phi_ec):
@@ -263,7 +250,7 @@ def _coupling_rates_at(
     def rate(e_jk: float, ra: float, rb: float, eca: float, eja: float,
              ecb: float, ejb: float) -> float:
         xa, xb = sqrt(2.0 * eca / eja), sqrt(2.0 * ecb / ejb)
-        return e_jk / math.sqrt(2.0) * (ra * rb) ** 0.25 * (1.0 - (xa + xb) / 8.0)
+        return e_jk / math.sqrt(2.0) * sqrt(sqrt(ra * rb)) * (1.0 - (xa + xb) / 8.0)
 
     g1c = rate(e.e1c, r1, rc, q1.e_c, ej1, c.e_c, ejc)
     g2c = rate(e.e2c, r2, rc, q2.e_c, ej2, c.e_c, ejc)
@@ -303,10 +290,14 @@ def tune_coupler(base: SystemModel, e_c: float, ej_max: float, ej: float) -> Sys
     g1c and g2c, given in ``base`` at ``ej_max``, are suppressed by
     1/Upsilon = (ej/ej_max)^(1/4).  Qubit parameters and g12 are unchanged.
     """
+    if not ej_max > 0:
+        raise ValueError(f"ej_max must be positive, got {ej_max}")
     omegac = frequency_from_energies(e_c, ej)
     if type(ej) is ndarray:
-        ej = _masked_ej(e_c, ej)
-    scale = (ej / ej_max) ** 0.25
+        ej, sqrt = _masked_ej(e_c, ej), np.sqrt
+    else:
+        sqrt = math.sqrt
+    scale = sqrt(sqrt(ej / ej_max))
     return SystemModel(
         omega1=base.omega1, omega2=base.omega2, omegac=omegac,
         eta1=base.eta1, eta2=base.eta2, etac=anharmonicity_from_energies(e_c, ej),

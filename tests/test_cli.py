@@ -579,6 +579,20 @@ class TestRunConfigErrors:
         assert out == ""
         assert_input_error(rc, err, f"coupler_ec = {coupler_ec!r} must be positive")
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_coupler_without_positive_frequency(self, tmp_path, capsys, command):
+        cfg = model_run(
+            coupler_squid={"ej_sum": 1.0}, coupler_ec=100.0,
+            sweep={"quantity": "g", "variable": "coupler-flux", "range": [0.0, 0.4], "points": 5},
+        )
+        path = write_json(tmp_path, "cfg.json", cfg)
+        rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
+        assert out == ""
+        assert_input_error(
+            rc, err, "coupler_ec = 100.0 leaves the coupler no positive frequency "
+            "(at most -425.269119 GHz with coupler_squid)",
+        )
+
     def test_find_without_range(self, tmp_path, capsys):
         cfg = model_run()
         del cfg["sweep"]["range"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from couplerkit import (
     FluxDomainError,
@@ -84,6 +85,50 @@ class TestFrequency:
         assert frequency_from_energies(p.e_c, ej_of_flux(p.squid, 0.0)) == pytest.approx(
             6.526, abs=1e-9
         )
+
+
+def newton_ej_for_frequency(e_c, omega):
+    """Newton's method on frequency_from_energies: an independent oracle for
+    the closed form."""
+    e_j = (omega + e_c) ** 2 / (8.0 * e_c)
+    for _ in range(100):
+        f = frequency_from_energies(e_c, e_j) - omega
+        step = f / math.sqrt(2.0 * e_c / e_j)  # d omega / d EJ without the xi term
+        e_j -= step
+        if abs(step) < 1e-14 * e_j:
+            break
+    return e_j
+
+
+CHARGING = st.floats(0.05, 0.5)
+FREQUENCY = st.floats(0.5, 12.0)
+
+
+class TestEjForFrequency:
+    @settings(max_examples=300, deadline=None)
+    @given(e_c=CHARGING, omega=FREQUENCY)
+    def test_matches_newton_and_round_trips(self, e_c, omega):
+        ej = ej_for_frequency(e_c, omega)
+        assert abs(ej - newton_ej_for_frequency(e_c, omega)) <= 4e-15 * ej
+        assert abs(frequency_from_energies(e_c, ej) - omega) <= 4e-15 * omega
+        assert float(ej_for_frequency(e_c, np.array([omega]))[0]).hex() == ej.hex()
+
+    @pytest.mark.parametrize("e_c", [0.0, -0.2, math.nan])
+    @pytest.mark.parametrize("omega", [5.0, np.array([4.0, 5.0])])
+    def test_non_positive_charging_energy(self, e_c, omega):
+        with pytest.raises(ValueError, match="e_c must be positive"):
+            ej_for_frequency(e_c, omega)
+
+    @pytest.mark.parametrize("omega, shown", [
+        (0.0, "0.0"), (-1.0, "-1.0"), (math.nan, "nan"), (np.array([4.0, -1.0, 0.0]), "-1.0"),
+    ])
+    def test_non_positive_frequency(self, omega, shown):
+        with pytest.raises(ValueError, match=f"^omega must be positive, got {shown}$"):
+            ej_for_frequency(0.2, omega)
+
+    def test_nan_entry_of_an_array_is_nan(self):
+        ej = ej_for_frequency(0.2, np.array([4.0, math.nan]))
+        assert ej[0] == ej_for_frequency(0.2, 4.0) and math.isnan(ej[1])
 
 
 class TestZpf:
@@ -203,9 +248,9 @@ class TestSystemModel:
         assert len(calls) == 3
 
     def test_matches_rate_formula_bit_for_bit(self):
-        # the rate formula written out in its original operation order
+        # the rate formula written out, the quarter power as two square roots
         def rate(e_jk, eca, eja, ecb, ejb):
-            g = e_jk / math.sqrt(2.0) * ((eja / eca) * (ejb / ecb)) ** 0.25
+            g = e_jk / math.sqrt(2.0) * math.sqrt(math.sqrt((eja / eca) * (ejb / ecb)))
             xa = math.sqrt(2.0 * eca / eja)
             xb = math.sqrt(2.0 * ecb / ejb)
             return g * (1.0 - (xa + xb) / 8.0)
@@ -266,6 +311,12 @@ class TestTuneCoupler:
     def test_vanishing_ej_rejected(self):
         with pytest.raises(FluxDomainError):
             tune_coupler(self.BASE, 0.175, 28.0, 0.0)
+
+    @pytest.mark.parametrize("ej_max", [0.0, -28.0])
+    @pytest.mark.parametrize("ej", [9.5, np.array([2.0, 9.5])])
+    def test_non_positive_ej_max_rejected(self, ej_max, ej):
+        with pytest.raises(ValueError, match=f"^ej_max must be positive, got {ej_max}$"):
+            tune_coupler(self.BASE, 0.175, ej_max, ej)
 
     @pytest.mark.parametrize("device", [SYMMETRIC_DEVICE, ASYMMETRIC_DEVICE])
     @pytest.mark.parametrize("resonant", [True, False])
