@@ -8,6 +8,7 @@ identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -337,14 +338,17 @@ def _sweep_rows(
     quantity: str,
     backend: str,
     levels: tuple[int, int, int],
-):
-    """Header and rows of the sweep CSV.
+) -> tuple[list[str], list[str]]:
+    """Header cells and row lines of the sweep CSV.
 
     The model, g and the perturbative ZZ are one array evaluation over
-    ``xs``; the numeric ZZ is one eigensolve per row.  A row with a
-    non-finite array cell or a failed numeric cell, and every row when the
-    array builder raises, is rebuilt by ``_sweep_row``, which prints its
-    warnings or raises as a per-row evaluation does.
+    ``xs``, and each row of finite array values is written with one
+    ``%.9g`` format (the bytes of ``_fmt``).  The numeric ZZ is one
+    eigensolve per row; where it raises LabelingError the row prints its
+    warning and leaves that cell blank.  A row with a non-finite array
+    cell, and every row when the array builder raises, is rebuilt by
+    ``_sweep_row``, which prints its warnings or raises as a per-row
+    evaluation does.
     """
     want_g = quantity in ("g", "both")
     want_zz = quantity in ("zz", "both")
@@ -354,9 +358,9 @@ def _sweep_rows(
     if want_numeric:
         header.append("zeta_numeric_mhz")
 
-    def float_row(x: float) -> list[str]:
+    def float_row(x: float) -> str:
         cells = _sweep_row(builder, x, want_g, want_pert, want_numeric, levels)
-        return [cells.get(h, "") for h in header]
+        return ",".join(cells.get(h, "") for h in header)
 
     try:
         m = builder(xs)
@@ -371,19 +375,24 @@ def _sweep_rows(
         values["zeta2_mhz"] = zz.zeta2 * 1e3
         values["zeta34_mhz"] = zz.zeta34 * 1e3
         values["zeta_pert_mhz"] = zz.zeta_total * 1e3
+    row_format = ",".join("%.9g" if h in values else "" for h in header[:6])
+    table = np.column_stack(list(values.values()))
     # m.omegac is NaN where the builder could not model the point
-    blank_rows = ~np.isfinite(np.column_stack([m.omegac, *values.values()])).all(axis=1)
-    text = {name: [_fmt(v) for v in column.tolist()] for name, column in values.items()}
-    columns = [text.get(h, [""] * len(xs)) for h in header[:6]]
-    rows = []
-    for x, blank, *row in zip(xs.tolist(), blank_rows.tolist(), *columns):
-        if not blank and want_numeric:
+    finite = np.isfinite(table).all(axis=1) & np.isfinite(m.omegac)
+    lines = []
+    for x, ok, row in zip(xs.tolist(), finite.tolist(), table.tolist()):
+        if not ok:
+            lines.append(float_row(x))
+            continue
+        line = row_format % tuple(row)
+        if want_numeric:
             try:
-                row.append(_fmt(numdiag.zz_numeric(builder(x), levels) * 1e3))
-            except CouplerKitError:
-                blank = True  # _sweep_row warns, or raises as the float path does
-        rows.append(float_row(x) if blank else row)
-    return header, rows
+                line += "," + _fmt(numdiag.zz_numeric(builder(x), levels) * 1e3)
+            except LabelingError as exc:
+                print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
+                line += ","
+        lines.append(line)
+    return header, lines
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -404,7 +413,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         builder, np.linspace(lo, hi, points), quantity, backend, levels
     )
     out = args.out or cfg.get("out")
-    text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+    text = "\n".join([",".join(header), *rows]) + "\n"
     if out:
         Path(out).write_text(text)
         print(f"wrote {len(rows)} rows to {out}")
@@ -499,7 +508,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``couplerkit`` parser, built once per process and shared by every
+    ``main`` call; ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="couplerkit",
         description="Quantize qubit-coupler-qubit circuits and locate "

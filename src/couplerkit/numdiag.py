@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dsyevr
+from scipy.linalg.lapack import dsyevd, dsyevr
 
 from .errors import LabelingError
 from .transmon import SystemModel
@@ -127,6 +127,15 @@ def build_hamiltonian(
 _WINDOW_MARGIN = 1
 
 
+def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of a sector block, from the LAPACK build that runs
+    ``dsyevr`` (numpy's ``eigh`` links a second one, with its own threads)."""
+    energies, vectors, info = dsyevd(block)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd failed with info = {info}")
+    return energies, vectors
+
+
 def _label_matches(block: np.ndarray, rows: np.ndarray) -> list[tuple[float, float]]:
     """(energy, overlap) of the eigenstate each label row takes: the one it
     dominates (is the largest component of) with the largest overlap, or an
@@ -147,7 +156,7 @@ def _label_matches(block: np.ndarray, rows: np.ndarray) -> list[tuple[float, flo
     overlaps = weights[np.arange(len(rows)), best]
     if info == 0 and np.all(overlaps > LABEL_OVERLAP_THRESHOLD):
         return [(float(energies[b]), float(o)) for b, o in zip(best, overlaps)]
-    energies, vectors = np.linalg.eigh(block)
+    energies, vectors = _eigh(block)
     amplitudes = vectors**2
     dominant = np.argmax(amplitudes, axis=0)
     matches = []
@@ -205,7 +214,7 @@ def g_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS) -> 
     block, (r100, r001, r010) = build_hamiltonian(m, levels).sector(
         ((1, 0, 0), (0, 0, 1), (0, 1, 0))
     )
-    energies, vectors = np.linalg.eigh(block)
+    energies, vectors = _eigh(block)
     amplitudes = vectors**2
     q_weight = amplitudes[r100] + amplitudes[r001]
     c_weight = amplitudes[r010]

@@ -8,10 +8,11 @@ The flux-to-model functions (``ej_for_frequency``, ``frequency_from_energies``,
 ``anharmonicity_from_energies``, ``system_model``, ``coupling_rates`` and
 ``tune_coupler``) take the swept quantity as a float or as a 1-d array.  On a
 float they use ``math`` and raise FluxDomainError where the Josephson energy
-is not positive.  On an array every entry is computed with the same
-operations, so it has the bits of the float call, and an entry where the
-float call would raise FluxDomainError is NaN instead; any other error still
-raises.
+is not positive, and ``system_model`` and ``tune_coupler`` also where the
+coupler frequency is not (a coupler SQUID tuned close to Phi0/2).  On an
+array every entry is computed with the same operations, so it has the bits
+of the float call, and an entry where the float call would raise
+FluxDomainError is NaN instead; any other error still raises.
 """
 
 from __future__ import annotations
@@ -129,6 +130,17 @@ class SystemModel:
 
 def _ej_error(e_j: float) -> FluxDomainError:
     return FluxDomainError(f"Josephson energy must be positive, got {e_j}")
+
+
+def _coupler_frequency(e_c: float, e_j):
+    """``frequency_from_energies`` of the coupler, with NaN where it is not
+    positive on an array and FluxDomainError there on a float."""
+    omegac = frequency_from_energies(e_c, e_j)
+    if type(omegac) is ndarray:
+        return np.where(omegac > 0, omegac, np.nan)
+    if not omegac > 0:
+        raise FluxDomainError(f"coupler frequency must be positive, got {omegac} GHz")
+    return omegac
 
 
 def _masked_ej(e_c: float, e_j: ndarray) -> ndarray:
@@ -273,7 +285,7 @@ def system_model(
     return SystemModel(
         omega1=frequency_from_energies(q1.e_c, ej1),
         omega2=frequency_from_energies(q2.e_c, ej2),
-        omegac=frequency_from_energies(c.e_c, ejc),
+        omegac=_coupler_frequency(c.e_c, ejc),
         eta1=anharmonicity_from_energies(q1.e_c, ej1),
         eta2=anharmonicity_from_energies(q2.e_c, ej2),
         etac=anharmonicity_from_energies(c.e_c, ejc),
@@ -289,10 +301,12 @@ def tune_coupler(base: SystemModel, e_c: float, ej_max: float, ej: float) -> Sys
     The coupler frequency and anharmonicity follow from (``e_c``, ``ej``);
     g1c and g2c, given in ``base`` at ``ej_max``, are suppressed by
     1/Upsilon = (ej/ej_max)^(1/4).  Qubit parameters and g12 are unchanged.
+    A coupler frequency that is not positive is a FluxDomainError (NaN on an
+    array), as a Josephson energy that is not positive is.
     """
     if not ej_max > 0:
         raise ValueError(f"ej_max must be positive, got {ej_max}")
-    omegac = frequency_from_energies(e_c, ej)
+    omegac = _coupler_frequency(e_c, ej)
     if type(ej) is ndarray:
         ej, sqrt = _masked_ej(e_c, ej), np.sqrt
     else:

@@ -58,7 +58,8 @@ FREQUENCY_BASE = ck.SystemModel(
 )
 
 # (builder, range of the swept variable, points worth drawing: poles, the
-# flux-domain edge, a vanishing symmetric-SQUID energy)
+# flux-domain edge, a vanishing symmetric-SQUID energy and, just below it, a
+# negative coupler frequency)
 BUILDERS = {
     "frequency": (
         presets.frequency_sweep_builder(FREQUENCY_BASE), (-0.5, 7.0),
@@ -72,8 +73,8 @@ BUILDERS = {
         )
         for dev in DEVICES for resonant in (True, False)
     },
-    "cli-flux": (_cli_flux_builder(), (-0.2, 1.2), [0.5, 0.25, 0.0]),
-    "cli-netlist": (_cli_netlist_builder(), (-0.2, 1.2), [0.5, 0.25, 0.0]),
+    "cli-flux": (_cli_flux_builder(), (-0.2, 1.2), [0.5, 0.25, 0.0, 0.4995, 0.4999]),
+    "cli-netlist": (_cli_netlist_builder(), (-0.2, 1.2), [0.5, 0.25, 0.0, 0.4995, 0.4999]),
 }
 
 

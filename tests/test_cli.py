@@ -4,8 +4,11 @@ import csv
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -636,6 +639,103 @@ class TestMissingFiles:
         assert_input_error(rc, err, f"file not found: {missing}")
 
 
+HALF_FLUX_SWEEP = {"quantity": "both", "variable": "coupler-flux",
+                   "range": [0.4, 0.5], "points": 201}
+
+
+class TestHalfFluxQuantum:
+    """A symmetric coupler SQUID tuned to just below half a flux quantum has a
+    small positive EJ at which the transmon formula gives a negative coupler
+    frequency; those points are outside the flux domain, like EJ = 0."""
+
+    @staticmethod
+    def config(route):
+        if route == "netlist":
+            return netlist_run(sweep=dict(HALF_FLUX_SWEEP))
+        return {**TestFind.device_flux_config([0.4, 0.5]), "sweep": dict(HALF_FLUX_SWEEP)}
+
+    @pytest.mark.parametrize("route", ["model", "netlist"])
+    def test_sweep_blanks_negative_coupler_frequency(self, tmp_path, capsys, route):
+        path = write_json(tmp_path, "cfg.json", self.config(route))
+        rc, out, err = run(capsys, "sweep", "--config", path)
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 201
+        blank = [r for r in rows if r["g_mhz"] == ""]
+        assert len(blank) > 1 and rows[-len(blank):] == blank
+        assert all(set(r.values()) == {r["x_value"], ""} for r in blank)
+        warned = err.splitlines()
+        assert len(warned) == len(blank)
+        assert "coupler frequency must be positive" in warned[0]
+        assert all(line.startswith(f"warning: x = {r['x_value']}: ")
+                   for line, r in zip(warned, blank))
+
+    @pytest.mark.parametrize("route", ["model", "netlist"])
+    @pytest.mark.parametrize("target", ["g", "zz"])
+    def test_find_skips_negative_coupler_frequency(self, tmp_path, capsys, route, target):
+        # the 200-point prescan of [0.4, 0.5] lands on such points
+        path = write_json(tmp_path, "cfg.json", self.config(route))
+        rc, out, err = run(capsys, "find", "--config", path, "--target", target)
+        assert rc in (0, 3)
+        assert "input error" not in err and "must be positive" not in err
+        assert (rc == 0) == bool(out.strip())
+
+
+def run_catching_exit(argv):
+    """``run_in_process`` that also records argparse's SystemExit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestSharedParser:
+    @pytest.fixture
+    def commands(self, tmp_path, monkeypatch):
+        """Every subcommand, an argparse error and help, at a fixed help width."""
+        monkeypatch.setenv("COLUMNS", "80")
+        net = write_json(tmp_path, "net.json", netlist_to_dict(floating_coupler_design(True)))
+        run_cfg = write_json(tmp_path, "run.json", model_run())
+        data, true = TestFit().make_dataset(tmp_path, rows=12)
+        fit_cfg = TestFit().fit_config(tmp_path, true)
+        return [
+            ["energies", net],
+            ["sweep", "--config", run_cfg, "--backend", "both", "--levels", "3,3,3"],
+            ["find", "--config", run_cfg, "--target", "g"],
+            ["fit", data, "--config", fit_cfg],
+            ["find", "--config", run_cfg],
+            ["sweep", "--backend", "fast"],
+            ["--help"],
+            ["fit", "--help"],
+            ["energies", net],
+        ]
+
+    def test_shared_parser_matches_fresh_parsers(self, commands):
+        shared = [run_catching_exit(argv) for argv in commands]
+        with mock.patch.object(cli, "build_parser", cli.build_parser.__wrapped__):
+            fresh = [run_catching_exit(argv) for argv in commands]
+        assert shared == fresh
+        assert [rc for rc, _, _ in shared] == [0, 0, 0, 0, 2, 2, 0, 0, 0]
+
+    def test_parser_is_built_once_per_process(self, commands):
+        cli.build_parser()  # the one build, if no earlier test ran main
+        with mock.patch.object(cli.argparse, "ArgumentParser",
+                               side_effect=AssertionError("parser built again")):
+            for argv in commands:
+                run_catching_exit(argv)
+
+    def test_cold_help_matches_in_process(self, commands):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+        proc = subprocess.run([sys.executable, "-m", "couplerkit.cli", "--help"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_catching_exit(["--help"])
+
+
 # -- property test of the run-config reader ------------------------------------
 
 def _key_paths(obj, prefix=()):
@@ -877,7 +977,7 @@ def per_row_sweep_rows(builder, xs, quantity, backend, levels):
             m = builder(x)
         except ck.CouplerKitError as exc:
             print(f"warning: x = {cli._fmt(x)}: {exc}", file=sys.stderr)
-            rows.append([cells.get(h, "") for h in header])
+            rows.append(",".join(cells.get(h, "") for h in header))
             continue
         if want_g:
             try:
@@ -899,7 +999,7 @@ def per_row_sweep_rows(builder, xs, quantity, backend, levels):
                 cells["zeta_numeric_mhz"] = cli._fmt(numdiag.zz_numeric(m, levels) * 1e3)
             except (ck.LabelingError, ck.ResonanceError) as exc:
                 print(f"warning: x = {cli._fmt(x)}: {exc}", file=sys.stderr)
-        rows.append([cells.get(h, "") for h in header])
+        rows.append(",".join(cells.get(h, "") for h in header))
     return header, rows
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -283,6 +284,26 @@ class TestSystemModel:
             assert [x.hex() for x in got] == [float(x).hex() for x in want]
             assert coupling_rates(e, q1, q2, c, phi1, phi2, phic) == got[6:]
 
+    # a symmetric SQUID this close to half a flux quantum leaves so small an EJ
+    # that the transmon formula gives a negative frequency
+    NEAR_HALF_FLUX = 2.0 * math.pi * 0.4999
+    ENERGIES = ModeEnergies(ec1=0.184, ec2=0.184, ecc=0.175, e12=-0.0012,
+                            e1c=-0.0132, e2c=0.0132)
+
+    def test_negative_coupler_frequency_is_outside_the_flux_domain(self):
+        with pytest.raises(FluxDomainError, match="^coupler frequency must be positive"):
+            system_model(self.ENERGIES, *three_transmons(), phi_ec=self.NEAR_HALF_FLUX)
+        m = system_model(self.ENERGIES, *three_transmons(),
+                         phi_ec=np.array([0.0, self.NEAR_HALF_FLUX]))
+        assert m.omegac[0] == system_model(self.ENERGIES, *three_transmons()).omegac
+        assert np.isnan([getattr(m, f.name)[1] for f in fields(m)]).all()
+
+    @pytest.mark.parametrize("array", [False, True])
+    def test_negative_qubit_frequency_is_an_input_error(self, array):
+        phi = np.array([0.0, self.NEAR_HALF_FLUX]) if array else self.NEAR_HALF_FLUX
+        with pytest.raises(ValueError, match="^omega1 must be positive"):
+            system_model(self.ENERGIES, *three_transmons(), phi_e1=phi)
+
 
 class TestTuneCoupler:
     BASE = SystemModel(
@@ -311,6 +332,14 @@ class TestTuneCoupler:
     def test_vanishing_ej_rejected(self):
         with pytest.raises(FluxDomainError):
             tune_coupler(self.BASE, 0.175, 28.0, 0.0)
+
+    def test_negative_coupler_frequency_rejected(self):
+        assert frequency_from_energies(0.175, 0.05) < 0
+        with pytest.raises(FluxDomainError, match="^coupler frequency must be positive"):
+            tune_coupler(self.BASE, 0.175, 28.0, 0.05)
+        m = tune_coupler(self.BASE, 0.175, 28.0, np.array([9.5, 0.05]))
+        assert m.omegac[0] == frequency_from_energies(0.175, 9.5)
+        assert np.isnan([getattr(m, f.name)[1] for f in fields(m)]).all()
 
     @pytest.mark.parametrize("ej_max", [0.0, -28.0])
     @pytest.mark.parametrize("ej", [9.5, np.array([2.0, 9.5])])
