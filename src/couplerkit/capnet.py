@@ -285,7 +285,7 @@ def energies_closed_form_floating(net: CapNetwork) -> ModeEnergies:
     dc = 2 * v["cc"] + v["cgc"]
     ctilde = v["cgc"] * dq**2 * dc
     e12 = -e2h / ctilde * (
-        ((v["c23"] + v["c24"]) * (v["c45"] + v["c35"]) + v["c24"] * v["c35"]) * v["cc"]
+        (v["c23"] + v["c24"]) * (v["c45"] + v["c35"]) * v["cc"]
         + (v["c23"] * v["c35"] + v["c45"] * v["c24"]) * v["cgc"]
     )
     return ModeEnergies(

@@ -154,8 +154,8 @@ def _model_block(cfg: dict) -> tuple[SystemModel, ModelBuilder | None]:
     return base, build
 
 
-def _netlist_model(cfg: dict) -> tuple[SystemModel, ModelBuilder]:
-    """Model at the configured fluxes plus the coupler-flux builder of a netlist config."""
+def _netlist_model(cfg: dict) -> tuple[float, ModelBuilder]:
+    """Configured coupler flux plus the coupler-flux builder of a netlist config."""
     source = cfg["netlist"]
     if isinstance(source, str):
         source = _read_file(source)
@@ -194,7 +194,7 @@ def _netlist_model(cfg: dict) -> tuple[SystemModel, ModelBuilder]:
             phi_ec=phase_from_flux_ratio(flux_ratio),
         )
 
-    return build(xc), build
+    return xc, build
 
 
 def _read_levels(raw) -> tuple[int, int, int]:
@@ -228,7 +228,8 @@ def _read_run(
     if "model" in cfg:
         base, flux_builder = _model_block(cfg)
     elif "netlist" in cfg:
-        base, flux_builder = _netlist_model(cfg)
+        coupler_flux, flux_builder = _netlist_model(cfg)
+        base = None  # built only for a coupler-frequency run, which uses it
     else:
         raise NetlistError("config needs a 'model' block or a 'netlist'")
     sweep = cfg.get("sweep")
@@ -238,6 +239,8 @@ def _read_run(
     if variable == "coupler-frequency":
         import couplerkit.presets as presets
 
+        if base is None:
+            base = flux_builder(coupler_flux)
         builder = presets.frequency_sweep_builder(base)
     elif variable != "coupler-flux":
         raise NetlistError(
@@ -257,6 +260,10 @@ def _read_run(
         raise NetlistError(f"sweep block needs 'range': [lo, hi]: {exc}") from exc
     if not lo < hi:
         raise NetlistError(f"sweep range must satisfy lo < hi, got [{lo}, {hi}]")
+    if variable == "coupler-frequency" and not lo > 0:
+        raise NetlistError(
+            f"sweep.range must hold positive coupler frequencies, got [{lo}, {hi}]"
+        )
     return builder, (lo, hi), backend, levels
 
 

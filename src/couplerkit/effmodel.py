@@ -220,20 +220,27 @@ def _memoized(f: Callable[[float], float]) -> Callable[[float], float]:
 def _refine_brackets(
     f: Callable[[float], float], xs: np.ndarray, ys: np.ndarray
 ) -> list[float]:
-    """Brent-refine every sign change; discard brackets that converge onto poles."""
+    """Roots of ``f`` from its prescan ``ys = f(xs)``, in ascending order.
+
+    One array pass picks the candidate intervals, those with both ends
+    finite and either the left value exactly zero or both values nonzero
+    with opposite signs; Python then runs once per candidate.  A grid point
+    exactly on zero counts once, unless the curve is identically zero around
+    it.  Brent refines each sign change to ROOT_TOLERANCE on floats, and a
+    bracket that converges onto a pole, or raises at one, is discarded.
+    """
+    # a trailing 0.0 makes the last grid point the left end of one more
+    # interval, so a zero there follows the same rule as any other
+    y = np.append(ys, 0.0)
+    ya, yb = y[:-1], y[1:]
+    prev = np.concatenate((y[1:2], y[:-2]))  # left neighbour; yb at the first point
+    on_zero = (ya == 0.0) & ((np.isfinite(prev) & (prev != 0.0)) | (yb != 0.0))
+    crossing = (ya != 0.0) & (yb != 0.0) & (np.sign(ya) != np.sign(yb))
+    candidates = np.isfinite(ya) & np.isfinite(yb) & (on_zero | crossing)
     roots = []
-    for i in range(len(xs) - 1):
-        ya, yb = ys[i], ys[i + 1]
-        if not (np.isfinite(ya) and np.isfinite(yb)):
-            continue
-        if ya == 0.0:
-            # a grid point sitting exactly on zero counts once, unless the
-            # curve is identically zero around it
-            prev = ys[i - 1] if i > 0 else yb
-            if (np.isfinite(prev) and prev != 0.0) or yb != 0.0:
-                roots.append(float(xs[i]))
-            continue
-        if yb == 0.0 or np.sign(ya) == np.sign(yb):
+    for i in np.flatnonzero(candidates):
+        if ys[i] == 0.0:
+            roots.append(float(xs[i]))
             continue
         try:
             root = brentq(f, xs[i], xs[i + 1], xtol=ROOT_TOLERANCE)
@@ -241,16 +248,8 @@ def _refine_brackets(
         except (ResonanceError, FluxDomainError):
             continue  # bracket straddles a resonance pole or a flux-domain edge
         # a genuine root has |f| far below the bracket values; a pole blows up
-        if abs(value) <= min(abs(ya), abs(yb)):
+        if abs(value) <= min(abs(ys[i]), abs(ys[i + 1])):
             roots.append(float(root))
-    if (
-        len(xs) > 1
-        and np.isfinite(ys[-1])
-        and ys[-1] == 0.0
-        and np.isfinite(ys[-2])
-        and ys[-2] != 0.0
-    ):
-        roots.append(float(xs[-1]))
     return roots
 
 

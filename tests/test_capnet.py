@@ -275,16 +275,12 @@ class TestClosedFormFloating:
             ), name
 
     def test_matches_exact_in_small_coupling_regime_asymmetric(self):
-        # the e12 closed form keeps a spurious C24*C35 cross term that biases
-        # the asymmetric pad arrangement by ~4.7% even at vanishing couplings;
-        # the other energies converge normally
         net = scaled_couplings(floating_coupler_design(False), 0.01)
         cf, ex = energies_closed_form_floating(net), energies_exact(net)
-        for name in ("ec1", "ec2", "ecc", "e1c", "e2c"):
+        for name in ("ec1", "ec2", "ecc", "e12", "e1c", "e2c"):
             assert getattr(cf, name) == pytest.approx(
                 getattr(ex, name), rel=0.02
             ), name
-        assert cf.e12 == pytest.approx(ex.e12, rel=0.05)
 
     def test_unequal_ground_caps_rejected(self):
         net = floating_net()
@@ -305,6 +301,23 @@ class TestClosedFormFloating:
     def test_wrong_topology_rejected(self):
         with pytest.raises(AssumptionViolationError, match="topology"):
             energies_closed_form_floating(grounded_coupler_design(True))
+
+
+@pytest.mark.parametrize("design, closed_form", [
+    (floating_coupler_design, energies_closed_form_floating),
+    (grounded_coupler_design, energies_closed_form_grounded),
+])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_closed_form_is_exact_at_vanishing_coupling(design, closed_form, symmetric):
+    # the closed forms are leading order in the coupling capacitors, so each
+    # energy's relative error shrinks in proportion to their scale
+    for scale in (1e-2, 1e-3, 1e-4):
+        net = scaled_couplings(design(symmetric), scale)
+        cf, ex = closed_form(net), energies_exact(net)
+        for name in ("ec1", "ec2", "ecc", "e12", "e1c", "e2c"):
+            assert getattr(cf, name) == pytest.approx(
+                getattr(ex, name), rel=scale
+            ), (scale, name)
 
 
 class TestClosedFormGrounded:

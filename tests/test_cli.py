@@ -596,6 +596,40 @@ class TestRunConfigErrors:
             "(at most -425.269119 GHz with coupler_squid)",
         )
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("route", [model_run, netlist_run])
+    @pytest.mark.parametrize("lo", [0.0, -1.0])
+    def test_coupler_frequency_range_must_be_positive(self, tmp_path, capsys, command,
+                                                      route, lo):
+        cfg = route(sweep={"quantity": "g", "range": [lo, 6.0], "points": 5})
+        path = write_json(tmp_path, "cfg.json", cfg)
+        rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
+        assert out == ""
+        assert_input_error(
+            rc, err, f"sweep.range must hold positive coupler frequencies, got [{lo}, 6.0]"
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.filterwarnings("ignore:net coupling crosses zero 2 times")
+    def test_coupler_flux_run_ignores_configured_coupler_flux(self, tmp_path, capsys,
+                                                              command):
+        # the symmetric coupler SQUID has no Josephson energy at half a flux
+        # quantum, so only a coupler-frequency run, which starts from the
+        # model at flux.coupler, fails there
+        cfg = netlist_run(flux={"coupler": 0.5})
+        path = write_json(tmp_path, "cfg.json", cfg)
+        rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
+        assert rc in (0, 3) and "error" not in err
+        if command[0] == "sweep":
+            assert rc == 0 and err == ""
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert len(rows) == 5 and all(r["g_mhz"] for r in rows)
+        cfg["sweep"] = {"quantity": "g", "range": [2.77, 4.0], "points": 5}
+        path = write_json(tmp_path, "cfg.json", cfg)
+        rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
+        assert (rc, out) == (2, "")
+        assert err == "error: Josephson energy must be positive, got 0.0\n"
+
     def test_find_without_range(self, tmp_path, capsys):
         cfg = model_run()
         del cfg["sweep"]["range"]

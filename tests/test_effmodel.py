@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from couplerkit import (
+    FluxDomainError,
     NoRootError,
     ResonanceError,
     SystemModel,
@@ -15,6 +18,7 @@ from couplerkit import (
     g_net,
     zz_perturbative,
 )
+from couplerkit.effmodel import ROOT_TOLERANCE, _refine_brackets
 from couplerkit.presets import (
     ASYMMETRIC_DEVICE,
     SYMMETRIC_DEVICE,
@@ -331,3 +335,106 @@ class TestMaskedPrescan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert find_zero_g(builder, (2.8, 4.6)) == pytest.approx(3.5288, abs=2e-3)
+
+
+def per_interval_refine(f, xs, ys):
+    """The bracket scan as a Python loop over every prescan interval: the
+    reference the array pass of ``_refine_brackets`` must reproduce."""
+    roots = []
+    for i in range(len(xs) - 1):
+        ya, yb = ys[i], ys[i + 1]
+        if not (np.isfinite(ya) and np.isfinite(yb)):
+            continue
+        if ya == 0.0:
+            prev = ys[i - 1] if i > 0 else yb
+            if (np.isfinite(prev) and prev != 0.0) or yb != 0.0:
+                roots.append(float(xs[i]))
+            continue
+        if yb == 0.0 or np.sign(ya) == np.sign(yb):
+            continue
+        try:
+            root = brentq(f, xs[i], xs[i + 1], xtol=ROOT_TOLERANCE)
+            value = f(root)
+        except (ResonanceError, FluxDomainError):
+            continue
+        if abs(value) <= min(abs(ya), abs(yb)):
+            roots.append(float(root))
+    if (
+        len(xs) > 1
+        and np.isfinite(ys[-1])
+        and ys[-1] == 0.0
+        and np.isfinite(ys[-2])
+        and ys[-2] != 0.0
+    ):
+        roots.append(float(xs[-1]))
+    return roots
+
+
+def recorded_curve(xs, ys, kinds):
+    """A function through the prescan points and the list of its arguments.
+
+    Between points i and i + 1 it is linear (``kinds[i] == "line"``), has a
+    pole where it changes sign (``"pole"``), or raises (``"raises"``).
+    """
+    calls = []
+    at_grid = dict(zip(xs.tolist(), ys.tolist()))
+
+    def f(x):
+        calls.append(float(x).hex())
+        if x in at_grid:
+            return at_grid[x]
+        i = int(np.searchsorted(xs, x)) - 1
+        ya, yb = ys[i], ys[i + 1]
+        t = (x - xs[i]) / (xs[i + 1] - xs[i])
+        if kinds[i] == "line":
+            return ya + (yb - ya) * t
+        if kinds[i] == "raises" or t == 0.5:
+            raise ResonanceError("Delta", 0.0, 1e-3)
+        return ya * 0.5 / (0.5 - t)  # ya at the left end, -ya at the right
+
+    return f, calls
+
+
+PRESCAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-200, -1e-200]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@st.composite
+def prescans(draw):
+    """Prescan values built from runs (NaN runs, zero runs, ...) and the
+    kind of curve inside each interval."""
+    runs = draw(st.lists(
+        st.tuples(PRESCAN_VALUES, st.integers(1, 3)), min_size=1, max_size=8
+    ))
+    ys = [v for v, n in runs for _ in range(n)]
+    kinds = draw(st.lists(
+        st.sampled_from(["line", "pole", "raises"]),
+        min_size=len(ys), max_size=len(ys),
+    ))
+    return ys, kinds
+
+
+@settings(max_examples=400, deadline=None)
+@given(prescans())
+@example(([0.0], ["line"]))
+@example(([-0.0, 1.0], ["line"] * 2))
+@example(([1.0, -0.0], ["line"] * 2))
+@example(([1e-200, -1e-200], ["line"] * 2))
+@example(([1e-200, -1e-200], ["pole"] * 2))
+@example(([0.0, 0.0, 0.0], ["line"] * 3))
+@example(([math.nan, 0.0, 1.0], ["line"] * 3))
+@example(([2.0, -1.0, 0.0], ["pole", "line", "line"]))
+@example(([math.nan, math.nan, 0.0], ["line"] * 3))
+def test_refine_brackets_matches_per_interval_scan(scan):
+    ys, kinds = np.array(scan[0]), scan[1]
+    xs = 4.0 + 0.25 * np.arange(len(ys))
+    want_f, want_calls = recorded_curve(xs, ys, kinds)
+    got_f, got_calls = recorded_curve(xs, ys, kinds)
+    want = per_interval_refine(want_f, xs, ys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy warning
+        got = _refine_brackets(got_f, xs, ys)
+    assert [r.hex() for r in got] == [r.hex() for r in want]
+    assert got_calls == want_calls
