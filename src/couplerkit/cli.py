@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .errors import (
     AssumptionViolationError,
     CouplerKitError,
     LabelingError,
+    LabelingWarning,
     NetlistError,
     NoRootError,
     ResonanceError,
@@ -429,9 +431,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _find_zz(builder: ModelBuilder, band, backend: str, levels) -> list[float]:
+    """``effmodel.find_zero_zz`` with its LabelingWarning printed as one
+    ``warning:`` line on stderr; any other warning is issued as before."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", LabelingWarning)
+        roots = effmodel.find_zero_zz(builder, band, backend=backend, levels=levels)
+    for w in caught:
+        if issubclass(w.category, LabelingWarning):
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return roots
+
+
 def cmd_find(args: argparse.Namespace) -> int:
     builder, band, backend, levels = _read_run(_load_json(args.config), args)
     if args.target == "g":
+        if backend != "effective":
+            print(
+                f"warning: g is found with the effective model; backend "
+                f"{backend!r} applies to --target zz only",
+                file=sys.stderr,
+            )
         try:
             root = effmodel.find_zero_g(builder, band)
         except NoRootError as exc:
@@ -440,7 +462,7 @@ def cmd_find(args: argparse.Namespace) -> int:
         print(_fmt(root))
         return EXIT_OK
     zz_backend = "numeric" if backend in ("numeric", "both") else "perturbative"
-    roots = effmodel.find_zero_zz(builder, band, backend=zz_backend, levels=levels)
+    roots = _find_zz(builder, band, zz_backend, levels)
     if not roots:
         print(f"no zz roots in [{_fmt(band[0])}, {_fmt(band[1])}]", file=sys.stderr)
         return EXIT_NO_ROOT

@@ -20,7 +20,13 @@ import numpy as np
 from numpy import ndarray
 from scipy.optimize import brentq
 
-from .errors import FluxDomainError, NoRootError, ResonanceError
+from .errors import (
+    FluxDomainError,
+    LabelingError,
+    LabelingWarning,
+    NoRootError,
+    ResonanceError,
+)
 from .transmon import SystemModel
 
 RESONANCE_FLOOR = 1e-3           # GHz
@@ -227,7 +233,8 @@ def _refine_brackets(
     with opposite signs; Python then runs once per candidate.  A grid point
     exactly on zero counts once, unless the curve is identically zero around
     it.  Brent refines each sign change to ROOT_TOLERANCE on floats, and a
-    bracket that converges onto a pole, or raises at one, is discarded.
+    bracket that converges onto a pole, or raises at one or at a point whose
+    states cannot be labeled, is discarded.
     """
     # a trailing 0.0 makes the last grid point the left end of one more
     # interval, so a zero there follows the same rule as any other
@@ -245,8 +252,8 @@ def _refine_brackets(
         try:
             root = brentq(f, xs[i], xs[i + 1], xtol=ROOT_TOLERANCE)
             value = f(root)
-        except (ResonanceError, FluxDomainError):
-            continue  # bracket straddles a resonance pole or a flux-domain edge
+        except (ResonanceError, FluxDomainError, LabelingError):
+            continue  # bracket straddles a pole, a flux-domain edge or an unlabeled point
         # a genuine root has |f| far below the bracket values; a pole blows up
         if abs(value) <= min(abs(ys[i]), abs(ys[i + 1])):
             roots.append(float(root))
@@ -299,8 +306,11 @@ def find_zero_zz(
     (``"numeric"``, truncated at ``levels`` per mode).  Returns an empty list
     when no roots are found.  The prescan calls ``builder`` once on an array
     of points, except on the numeric backend, which diagonalizes one point
-    at a time.
+    at a time.  The numeric backend skips a point whose dressed states it
+    cannot label (LabelingError) like a pole, and issues one LabelingWarning
+    with the number of prescan points skipped so.
     """
+    unlabeled: list[float] = []
     if backend == "perturbative":
 
         def prescan(wc):
@@ -314,17 +324,27 @@ def find_zero_zz(
         f = _memoized(lambda wc: zz_numeric(builder(wc), levels))
 
         def prescan(xs: ndarray) -> ndarray:
-            # one eigensolve per point; a LabelingError ends the find here
+            # one eigensolve per point
             ys = np.empty_like(xs)
             for i, x in enumerate(xs):
                 try:
                     ys[i] = f(x)
                 except (ResonanceError, FluxDomainError):
                     ys[i] = np.nan
+                except LabelingError:
+                    ys[i] = np.nan
+                    unlabeled.append(x)
             return ys
 
     else:
         raise ValueError(f"backend must be 'perturbative' or 'numeric', got {backend!r}")
 
     xs, ys = _scan(prescan, band, prescan_points)
+    if unlabeled:
+        warnings.warn(
+            f"{len(unlabeled)} of {prescan_points} prescan points in "
+            f"[{band[0]:.6g}, {band[1]:.6g}] could not be labeled and were skipped",
+            LabelingWarning,
+            stacklevel=2,
+        )
     return _refine_brackets(f, xs, ys)

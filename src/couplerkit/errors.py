@@ -63,5 +63,9 @@ class LabelingError(CouplerKitError):
     """Dressed-state labeling is ambiguous (overlap at or below threshold)."""
 
 
+class LabelingWarning(UserWarning):
+    """A numeric root search skipped points whose states it could not label."""
+
+
 class UnderdeterminedFitError(CouplerKitError):
     """Fewer data rows than free fit parameters."""

@@ -146,14 +146,22 @@ class CouplerFluxModel:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Outcome of ``fit_g_vs_flux``.
+
+    ``n_evaluations`` is the simplex search's objective evaluations plus the
+    ``nfev`` scipy reports for the Levenberg-Marquardt pass.  scipy 1.17
+    leaves that pass's finite-difference Jacobian evaluations out of
+    ``nfev``; releases that run MINPACK's ``lmdif`` count them.
+    ``covariance`` holds the variance of each free parameter, empty when the
+    refinement was not kept or there are no spare rows.
+    """
+
     params: CouplerFluxModel
     free: tuple[str, ...]
     rms_residual_mhz: float
     converged: bool
     n_evaluations: int
     covariance: dict[str, float]
-    # objective value at each accepted simplex iteration, non-increasing
-    objective_trace: tuple[float, ...] = ()
 
     @property
     def g12_mhz(self) -> float:
@@ -272,12 +280,10 @@ def fit_g_vs_flux(
         return float(np.sum(_residuals(unpack(x), data) ** 2))
 
     x0 = np.array([getattr(init, name) / scales[name] for name in free])
-    trace: list[float] = []
     simplex = minimize(
         objective,
         x0,
         method="Nelder-Mead",
-        callback=lambda xk: trace.append(objective(xk)),
         options={
             "maxiter": SIMPLEX_MAX_ITERATIONS,
             "xatol": 1e-10,
@@ -299,13 +305,14 @@ def fit_g_vs_flux(
         max_nfev=2000,
     )
     n_evaluations += int(gn.nfev)
-    if np.sum(gn.fun**2) <= objective(best_x):
-        best_x = gn.x
+    if np.sum(gn.fun**2) <= simplex.fun:
+        best_x, res = gn.x, gn.fun
         converged = converged or bool(gn.success)
         jacobian = gn.jac
+    else:
+        res = _residuals(unpack(best_x), data)
 
     params = unpack(best_x)
-    res = _residuals(params, data)
     rms = float(np.sqrt(np.mean(res**2)))
 
     covariance: dict[str, float] = {}
@@ -325,5 +332,4 @@ def fit_g_vs_flux(
         converged=converged,
         n_evaluations=n_evaluations,
         covariance=covariance,
-        objective_trace=tuple(trace),
     )

@@ -266,6 +266,39 @@ class TestFind:
         roots = [float(line) for line in out.strip().splitlines()]
         assert len(roots) == 2  # two flux ratios where zz vanishes
 
+    @pytest.mark.parametrize("flux_range, skipped, out", [
+        ([0.0, 0.45], 12, "0.258921995\n0.294714449\n"),
+        ([0.3, 0.45], 34, ""),
+    ])
+    def test_numeric_find_skips_unlabeled_points(self, tmp_path, capsys, flux_range,
+                                                 skipped, out):
+        # a point whose states cannot be labeled is skipped like a pole
+        path = write_json(tmp_path, "cfg.json", self.device_flux_config(flux_range))
+        rc, got_out, err = run(capsys, "find", "--config", path, "--target", "zz",
+                               "--backend", "numeric")
+        lo, hi = flux_range
+        warned = (f"warning: {skipped} of 200 prescan points in [{lo:g}, {hi:g}] "
+                  "could not be labeled and were skipped\n")
+        if out:
+            assert (rc, got_out, err) == (0, out, warned)
+        else:
+            assert (rc, got_out, err) == (3, "", warned + f"no zz roots in [{lo:g}, {hi:g}]\n")
+
+    @pytest.mark.parametrize("backend", ["numeric", "both"])
+    def test_g_target_says_it_uses_the_effective_model(self, tmp_path, capsys, backend):
+        cfg = {
+            "schema": 1,
+            "model": model_block(FLOATING_DESIGN_RATES_SYMMETRIC),
+            "sweep": {"range": [2.77, 4.0]},
+        }
+        path = write_json(tmp_path, "cfg.json", cfg)
+        effective = run(capsys, "find", "--config", path, "--target", "g")
+        rc, out, err = run(capsys, "find", "--config", path, "--target", "g",
+                           "--backend", backend)
+        assert (rc, out) == effective[:2]
+        assert err == (f"warning: g is found with the effective model; backend "
+                       f"'{backend}' applies to --target zz only\n") + effective[2]
+
     @pytest.mark.parametrize("flux_range, code", [([0.0, 0.45], 0), ([0.0, 0.05], 3)])
     def test_flux_band_is_not_printed_in_ghz(self, tmp_path, capsys, flux_range, code):
         # two roots warn and none is a no-root error; both name the band,

@@ -8,6 +8,8 @@ from scipy.optimize import brentq
 
 from couplerkit import (
     FluxDomainError,
+    LabelingError,
+    LabelingWarning,
     NoRootError,
     ResonanceError,
     SystemModel,
@@ -276,6 +278,43 @@ class TestFindZeroZZ:
         assert find_zero_zz(builder, (4.38, 5.71)) == []
 
 
+class TestUnlabeledPoints:
+    """The numeric finder skips points it cannot label, like poles."""
+
+    @pytest.mark.parametrize("device, skipped, roots", [
+        (ASYMMETRIC_DEVICE, 62, 0),
+        (SYMMETRIC_DEVICE, 36, 2),
+    ])
+    def test_numeric_find_skips_and_counts(self, device, skipped, roots):
+        from couplerkit.numdiag import zz_numeric
+
+        builder = device_flux_builder(device, resonant=False)
+        with pytest.warns(
+            LabelingWarning,
+            match=rf"^{skipped} of 200 prescan points in \[2.5, 4\] could not be labeled",
+        ):
+            found = find_zero_zz(builder, (2.5, 4.0), backend="numeric")
+        assert len(found) == roots
+        assert all(abs(zz_numeric(builder(r), (5, 5, 5))) < 1e-9 for r in found)
+
+    def test_labeled_band_does_not_warn(self):
+        builder = device_flux_builder(ASYMMETRIC_DEVICE, resonant=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LabelingWarning)
+            assert len(find_zero_zz(builder, (4.4, 6.5), backend="numeric")) == 2
+
+    def test_bracket_that_cannot_be_labeled_is_dropped(self):
+        xs = np.array([0.0, 1.0, 2.0, 3.0])
+        ys = np.array([-1.0, 1.0, -1.0, -1.0])
+
+        def f(x):
+            if 0.0 < x < 1.0:
+                raise LabelingError("bare state (1, 0, 0) is ambiguous")
+            return float(np.interp(x, xs, ys))
+
+        assert _refine_brackets(f, xs, ys) == [pytest.approx(1.5, abs=ROOT_TOLERANCE)]
+
+
 class TestFindEvaluations:
     """Each find evaluates the prescan as one array call and then refines each
     bracket with floats, evaluating no point twice."""
@@ -355,7 +394,7 @@ def per_interval_refine(f, xs, ys):
         try:
             root = brentq(f, xs[i], xs[i + 1], xtol=ROOT_TOLERANCE)
             value = f(root)
-        except (ResonanceError, FluxDomainError):
+        except (ResonanceError, FluxDomainError, LabelingError):
             continue
         if abs(value) <= min(abs(ya), abs(yb)):
             roots.append(float(root))
@@ -374,7 +413,8 @@ def recorded_curve(xs, ys, kinds):
     """A function through the prescan points and the list of its arguments.
 
     Between points i and i + 1 it is linear (``kinds[i] == "line"``), has a
-    pole where it changes sign (``"pole"``), or raises (``"raises"``).
+    pole where it changes sign (``"pole"``), raises ResonanceError
+    (``"raises"``) or raises LabelingError (``"unlabeled"``).
     """
     calls = []
     at_grid = dict(zip(xs.tolist(), ys.tolist()))
@@ -388,6 +428,8 @@ def recorded_curve(xs, ys, kinds):
         t = (x - xs[i]) / (xs[i + 1] - xs[i])
         if kinds[i] == "line":
             return ya + (yb - ya) * t
+        if kinds[i] == "unlabeled":
+            raise LabelingError("bare state (1, 0, 1) is ambiguous")
         if kinds[i] == "raises" or t == 0.5:
             raise ResonanceError("Delta", 0.0, 1e-3)
         return ya * 0.5 / (0.5 - t)  # ya at the left end, -ya at the right
@@ -410,7 +452,7 @@ def prescans(draw):
     ))
     ys = [v for v, n in runs for _ in range(n)]
     kinds = draw(st.lists(
-        st.sampled_from(["line", "pole", "raises"]),
+        st.sampled_from(["line", "pole", "raises", "unlabeled"]),
         min_size=len(ys), max_size=len(ys),
     ))
     return ys, kinds

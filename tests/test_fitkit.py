@@ -1,8 +1,10 @@
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+from couplerkit import fitkit
 from couplerkit import (
     CouplerFluxModel,
     GFluxDataset,
@@ -191,19 +193,6 @@ class TestFit:
         assert result.g1c_g2c_mhz2 == pytest.approx(TRUE.g1c_g2c_mhz2, rel=1e-9)
         assert 0.0 <= result.params.coupler_asymmetry < 1e-6
 
-    def test_objective_trace_monotone(self):
-        data = true_dataset(noise=0.2, seed=5)
-        init = CouplerFluxModel(
-            g12_mhz=-5.0, g1c_g2c_mhz2=-(100.0**2),
-            coupler_ec_ghz=TRUE.coupler_ec_ghz,
-            coupler_ej_sum_ghz=TRUE.coupler_ej_sum_ghz,
-            coupler_asymmetry=0.0,
-        )
-        result = fit_g_vs_flux(data, init)
-        trace = result.objective_trace
-        assert len(trace) > 3
-        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
-
     def test_deterministic_repeat(self):
         data = true_dataset(noise=0.15, seed=21)
         init = CouplerFluxModel(
@@ -234,3 +223,73 @@ class TestFit:
         data = true_dataset()
         result = fit_g_vs_flux(data, TRUE, free=("g1c_g2c_mhz2",))
         assert result.product_sqrt_mhz == pytest.approx(131.6, rel=1e-4)
+
+
+INIT = replace(TRUE, g12_mhz=-6.0, g1c_g2c_mhz2=-(110.0**2))
+FREE_2 = ("g12_mhz", "g1c_g2c_mhz2")
+
+
+@pytest.mark.parametrize("free", [
+    FREE_2,
+    FREE_2 + ("coupler_asymmetry",),
+    FREE_2 + ("coupler_ej_sum_ghz",),
+])
+@pytest.mark.parametrize("with_signs", [True, False])
+def test_model_evaluations_beyond_the_count(monkeypatch, free, with_signs):
+    # beyond the counted evaluations a fit may evaluate the model only for
+    # LM's finite-difference Jacobian (one here), the Jacobian LM returns and
+    # one final residual, never once per simplex iteration
+    data = true_dataset(noise=0.1, seed=4, with_signs=with_signs)
+    calls = 0
+    model = fitkit.model_g_mhz
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return model(*args)
+
+    monkeypatch.setattr(fitkit, "model_g_mhz", counted)
+    result = fit_g_vs_flux(data, INIT, free=free)
+    assert result.n_evaluations <= calls <= result.n_evaluations + len(free) + 4
+
+
+# (noise, seed, with_signs, free, init) and the fit's float.hex values: params
+# (all five fields), rms_residual_mhz, n_evaluations, converged, covariance
+PINNED_FITS = [
+    ((0.0, 0, True, FREE_2, INIT),
+     ["-0x1.2cccccccccccep+3", "-0x1.0e9a3d70a3d71p+14", "0x1.69ccb7d41743fp-3",
+      "0x1.fd515f8ad86f3p+4", "0x0.0p+0"],
+     "0x1.1f141a4506278p-49", 162, True,
+     {"g12_mhz": "0x1.08550645a5816p-102", "g1c_g2c_mhz2": "0x1.686a79cfa851bp-85"}),
+    ((0.2, 9, False, FREE_2, INIT),
+     ["-0x1.2cf02ce3c1f56p+3", "-0x1.0f314cc5ab581p+14", "0x1.69ccb7d41743fp-3",
+      "0x1.fd515f8ad86f3p+4", "0x0.0p+0"],
+     "0x1.b20f405b1f090p-3", 180, True,
+     {"g12_mhz": "0x1.2e257151090dfp-9", "g1c_g2c_mhz2": "0x1.9bf9b1195bce9p+8"}),
+    ((0.0, 0, True, FREE_2 + ("coupler_asymmetry",), INIT),
+     ["-0x1.2cccccccccd4cp+3", "-0x1.0e9a3d70a3dedp+14", "0x1.69ccb7d41743fp-3",
+      "0x1.fd515f8ad86f3p+4", "0x1.d7e6d865674bap-27"],
+     "0x1.307b8934f20c6p-42", 703, True,
+     {"g12_mhz": "0x1.658da7358a505p-88", "g1c_g2c_mhz2": "0x1.bbfe16968a0c2p-71",
+      "coupler_asymmetry": "0x1.27e13ba4563f0p-89"}),
+    ((0.1, 4, True, FREE_2 + ("coupler_ej_sum_ghz",),
+      replace(INIT, coupler_ej_sum_ghz=0.99 * TRUE.coupler_ej_sum_ghz)),
+     ["-0x1.2c09d7b9183e9p+3", "-0x1.0dc52e82300bap+14", "0x1.69ccb7d41743fp-3",
+      "0x1.fd473ba238606p+4", "0x0.0p+0"],
+     "0x1.a63dcdf2e302fp-4", 417, True,
+     {"g12_mhz": "0x1.c06625e790a86p-11", "g1c_g2c_mhz2": "0x1.a3a9f679870a3p+10",
+      "coupler_ej_sum_ghz": "0x1.09b265c81c917p-18"}),
+]
+
+
+@pytest.mark.parametrize("case, params, rms, n_evaluations, converged, covariance",
+                         PINNED_FITS)
+def test_fit_results_pinned(case, params, rms, n_evaluations, converged, covariance):
+    # bookkeeping around the simplex and LM passes must not move a bit of
+    # what the fit returns
+    noise, seed, with_signs, free, init = case
+    result = fit_g_vs_flux(true_dataset(noise, seed, with_signs), init, free=free)
+    assert [float(v).hex() for v in astuple(result.params)] == params
+    assert result.rms_residual_mhz.hex() == rms
+    assert (result.n_evaluations, result.converged) == (n_evaluations, converged)
+    assert {k: v.hex() for k, v in result.covariance.items()} == covariance
