@@ -38,6 +38,10 @@ E2_OVER_H_GHZ_FF = const.e**2 / const.h * 1e15 / 1e9
 # of the largest one.
 _PD_RTOL = 1e-12
 
+# capacitances that load_netlist accepts (fF); netlists scaled far outside
+# this range overflow or divide by zero in the energy formulas
+CAPACITANCE_RANGE_FF = (1e-6, 1e6)
+
 
 class Topology(enum.Enum):
     FLOATING_FLOATING = "floating-floating"
@@ -376,6 +380,17 @@ def classify_configuration(
 _TOPOLOGY_NAMES = {t.value: t for t in Topology}
 
 
+def json_integer(field: str, value) -> int:
+    """``value`` of the JSON ``field`` as an int.  It must be a number with an
+    integral value; anything else (a bool, a string, 2.9) is a NetlistError
+    that names the field."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise NetlistError(f"{field} must be an integer, got {value!r}")
+
+
 def load_netlist(source: str | Path | dict) -> CapNetwork:
     """Build a CapNetwork from JSON text, a ``Path`` to a JSON file, or a parsed dict.
 
@@ -385,7 +400,8 @@ def load_netlist(source: str | Path | dict) -> CapNetwork:
          "topology": "floating-floating" | "grounded-floating",
          "capacitors": [{"a": 2, "b": 3, "fF": 19.5}, ...]}
 
-    The ``schema`` field is optional; when present it must equal 1.
+    The ``schema`` field is optional; when present it must equal 1.  Node ids
+    must be integral numbers, and capacitances lie in CAPACITANCE_RANGE_FF.
     """
     if isinstance(source, dict):
         data = source
@@ -393,7 +409,7 @@ def load_netlist(source: str | Path | dict) -> CapNetwork:
         text = source.read_text() if isinstance(source, Path) else source
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to read
             raise NetlistError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise NetlistError("netlist must be a JSON object")
@@ -413,11 +429,16 @@ def load_netlist(source: str | Path | dict) -> CapNetwork:
         if not isinstance(item, dict):
             raise NetlistError(f"capacitors[{i}] must be an object")
         try:
-            a, b, v = int(item["a"]), int(item["b"]), float(item["fF"])
-        except (KeyError, TypeError, ValueError) as exc:
+            a = json_integer(f"capacitors[{i}].a", item["a"])
+            b = json_integer(f"capacitors[{i}].b", item["b"])
+            v = float(item["fF"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise NetlistError(
                 f"capacitors[{i}] needs integer 'a', 'b' and numeric 'fF': {exc}"
             ) from exc
+        lo, hi = CAPACITANCE_RANGE_FF
+        if not lo <= v <= hi:
+            raise NetlistError(f"capacitors[{i}].fF = {v!r} is outside [{lo:g}, {hi:g}] fF")
         entries.append((a, b, v))
     return CapNetwork(topology=_TOPOLOGY_NAMES[topology], capacitors=tuple(entries))
 

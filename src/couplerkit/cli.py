@@ -23,7 +23,6 @@ from .errors import (
     AssumptionViolationError,
     CouplerKitError,
     LabelingError,
-    LabelingWarning,
     NetlistError,
     NoRootError,
     ResonanceError,
@@ -77,7 +76,7 @@ def _read_file(path: str) -> str:
 def _load_json(path: str) -> dict:
     try:
         data = json.loads(_read_file(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise NetlistError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise NetlistError(f"{path}: top level must be a JSON object")
@@ -110,7 +109,7 @@ def _squid_from_config(cfg: dict, where: str) -> SquidParams:
             _bounded(f"{where}.ej_large", float(cfg["ej_large"])),
             _bounded(f"{where}.ej_small", float(cfg["ej_small"])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NetlistError(
             f"{where} needs 'ej_sum' (+ optional 'asymmetry') or "
             f"'ej_large'/'ej_small': {exc}"
@@ -128,14 +127,14 @@ def _model_block(cfg: dict) -> tuple[SystemModel, ModelBuilder | None]:
         raise NetlistError(f"model block missing fields: {', '.join(missing)}")
     try:
         base = SystemModel(**{n: _bounded(f"model.{n}", float(block[n])) for n in names})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise NetlistError(f"model block: {exc}") from exc
     if "coupler_squid" not in cfg:
         return base, None
     squid = _squid_from_config(cfg["coupler_squid"], "coupler_squid")
     try:
         e_c = _bounded("coupler_ec", float(cfg["coupler_ec"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NetlistError(
             "coupler-flux sweeps from a model block need numeric 'coupler_ec'"
         ) from exc
@@ -186,9 +185,16 @@ def _netlist_model(cfg: dict) -> tuple[float, ModelBuilder]:
             _bounded(f"flux.{k}", float(flux.get(k, 0.0)))
             for k in ("qubit1", "qubit2", "coupler")
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise NetlistError(f"flux entries must be numbers: {exc}") from exc
     phi1, phi2 = phase_from_flux_ratio(x1), phase_from_flux_ratio(x2)
+    for n, x, phi, qubit in ((1, x1, phi1, trans[0]), (2, x2, phi2, trans[1])):
+        ej = ej_of_flux(qubit.squid, phi)
+        if not (ej > 0 and frequency_from_energies(qubit.e_c, ej) > 0):
+            raise NetlistError(
+                f"squids.qubit{n} at flux.qubit{n} = {x!r} leaves qubit {n} "
+                "no positive frequency"
+            )
 
     def build(flux_ratio) -> SystemModel:  # a float or a 1-d array
         return system_model(
@@ -199,17 +205,23 @@ def _netlist_model(cfg: dict) -> tuple[float, ModelBuilder]:
     return xc, build
 
 
-def _read_levels(raw) -> tuple[int, int, int]:
-    if isinstance(raw, (list, tuple)):
+def _read_levels(text: str | None, raw) -> tuple[int, int, int]:
+    """Truncation levels from ``--levels`` text, or else the config's
+    ``levels`` list; every backend needs each in [MIN_LEVELS, MAX_LEVELS]."""
+    if text:
         try:
-            levels = tuple(int(n) for n in raw)
-        except (TypeError, ValueError, OverflowError) as exc:
+            raw = [int(n) for n in text.split(",")]
+        except ValueError as exc:
             raise NetlistError(
                 f"levels must be three comma-separated integers: {exc}"
             ) from exc
-        if len(levels) == 3:
-            return levels
-    raise NetlistError("levels must be three comma-separated integers")
+    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+        raise NetlistError("levels must be three comma-separated integers")
+    levels = tuple(capnet.json_integer(f"levels[{i}]", n) for i, n in enumerate(raw))
+    lo, hi = numdiag.MIN_LEVELS, numdiag.MAX_LEVELS
+    if not all(lo <= n <= hi for n in levels):
+        raise NetlistError(f"levels must be three integers in [{lo}, {hi}], got {levels}")
+    return levels
 
 
 def _read_run(
@@ -224,9 +236,7 @@ def _read_run(
     backend = args.backend or cfg.get("backend", "effective")
     if backend not in ("effective", "numeric", "both"):
         raise NetlistError(f"backend must be effective|numeric|both, got {backend!r}")
-    levels = _read_levels(
-        args.levels.split(",") if args.levels else cfg.get("levels", numdiag.DEFAULT_LEVELS)
-    )
+    levels = _read_levels(args.levels, cfg.get("levels", numdiag.DEFAULT_LEVELS))
     if "model" in cfg:
         base, flux_builder = _model_block(cfg)
     elif "netlist" in cfg:
@@ -258,7 +268,7 @@ def _read_run(
         builder = flux_builder
     try:
         lo, hi = (_bounded("sweep.range", float(v)) for v in sweep["range"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NetlistError(f"sweep block needs 'range': [lo, hi]: {exc}") from exc
     if not lo < hi:
         raise NetlistError(f"sweep range must satisfy lo < hi, got [{lo}, {hi}]")
@@ -336,7 +346,7 @@ def _sweep_row(
     if want_numeric:
         try:
             cells["zeta_numeric_mhz"] = _fmt(numdiag.zz_numeric(m, levels) * 1e3)
-        except (LabelingError, ResonanceError) as exc:
+        except LabelingError as exc:
             print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
     return cells
 
@@ -355,9 +365,8 @@ def _sweep_rows(
     ``%.9g`` format (the bytes of ``_fmt``).  The numeric ZZ is one
     eigensolve per row; where it raises LabelingError the row prints its
     warning and leaves that cell blank.  A row with a non-finite array
-    cell, and every row when the array builder raises, is rebuilt by
-    ``_sweep_row``, which prints its warnings or raises as a per-row
-    evaluation does.
+    cell is rebuilt by ``_sweep_row``, which prints its warnings as a
+    per-row evaluation does.
     """
     want_g = quantity in ("g", "both")
     want_zz = quantity in ("zz", "both")
@@ -371,10 +380,7 @@ def _sweep_rows(
         cells = _sweep_row(builder, x, want_g, want_pert, want_numeric, levels)
         return ",".join(cells.get(h, "") for h in header)
 
-    try:
-        m = builder(xs)
-    except (CouplerKitError, ValueError, ArithmeticError):
-        return header, [float_row(x) for x in xs.tolist()]
+    m = builder(xs)
     values = {"x_value": xs}
     if want_g:
         eff = effmodel.g_net(m)
@@ -409,8 +415,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     builder, (lo, hi), backend, levels = _read_run(cfg, args)
     sweep = cfg["sweep"]
     try:
-        points = int(sweep["points"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        points = capnet.json_integer("sweep.points", sweep["points"])
+    except KeyError as exc:
         raise NetlistError(f"sweep block needs 'points': {exc}") from exc
     if points < 2:
         raise NetlistError(f"sweep needs at least 2 points, got {points}")
@@ -431,20 +437,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _find_zz(builder: ModelBuilder, band, backend: str, levels) -> list[float]:
-    """``effmodel.find_zero_zz`` with its LabelingWarning printed as one
-    ``warning:`` line on stderr; any other warning is issued as before."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", LabelingWarning)
-        roots = effmodel.find_zero_zz(builder, band, backend=backend, levels=levels)
-    for w in caught:
-        if issubclass(w.category, LabelingWarning):
-            print(f"warning: {w.message}", file=sys.stderr)
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return roots
-
-
 def cmd_find(args: argparse.Namespace) -> int:
     builder, band, backend, levels = _read_run(_load_json(args.config), args)
     if args.target == "g":
@@ -462,7 +454,7 @@ def cmd_find(args: argparse.Namespace) -> int:
         print(_fmt(root))
         return EXIT_OK
     zz_backend = "numeric" if backend in ("numeric", "both") else "perturbative"
-    roots = _find_zz(builder, band, zz_backend, levels)
+    roots = effmodel.find_zero_zz(builder, band, backend=zz_backend, levels=levels)
     if not roots:
         print(f"no zz roots in [{_fmt(band[0])}, {_fmt(band[1])}]", file=sys.stderr)
         return EXIT_NO_ROOT
@@ -480,7 +472,7 @@ def _read_fit(cfg: dict) -> tuple[fitkit.CouplerFluxModel, tuple[str, ...]]:
         init = fitkit.CouplerFluxModel(
             **{k: float(init_block[k]) for k in fitkit.FIT_PARAMETER_NAMES if k in init_block}
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise NetlistError(f"init block: {exc}") from exc
     for name in fitkit.FIT_PARAMETER_NAMES:
         if not np.isfinite(getattr(init, name)):
@@ -580,28 +572,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a library warning as one ``warning:`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its library errors and the warnings that the
+    caller's filters let through become stderr lines."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (NetlistError, AssumptionViolationError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except UnderdeterminedFitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_FIT
-    except CouplerKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, ArithmeticError) as exc:
-        # sweep and find evaluate the model formulas on config values that no
-        # reader bounds (a coupler E_C above 8 E_J, say); fit checks its inputs
-        # first and reports the optimizer's arithmetic itself
-        if args.command == "fit":
-            raise
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (NetlistError, AssumptionViolationError) as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except UnderdeterminedFitError as exc:
+            print(f"fit error: {exc}", file=sys.stderr)
+            return EXIT_FIT
+        except CouplerKitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -81,20 +81,6 @@ def phi0_of_flux(p: SquidParams, phi_e: float) -> float:
     return -math.atan2(d * math.sin(half), math.cos(half))
 
 
-def upsilon(p: SquidParams, phi_e: float) -> float:
-    """Quarter-power coupling suppression factor [EJ(0)/EJ(phi_e)]^(1/4).
-
-    Equals 1 at zero flux and grows as the SQUID energy is reduced; raises
-    FluxDomainError where EJ vanishes (symmetric SQUID at phi_e = pi).
-    """
-    ej = ej_of_flux(p, phi_e)
-    if ej <= 0.0:
-        raise FluxDomainError(
-            f"Josephson energy vanishes at phi_e = {phi_e:.6g} rad"
-        )
-    return (p.ej_sum / ej) ** 0.25
-
-
 def flux_for_ej(p: SquidParams, ej):
     """Reduced flux phi_e in [0, pi] at which the SQUID energy equals ej.
 

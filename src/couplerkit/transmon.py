@@ -179,14 +179,6 @@ def anharmonicity_from_energies(e_c: float, e_j):
     return e_c * (1.0 + 9.0 * xi / 16.0)
 
 
-def zpf_from_energies(e_c: float, e_j: float) -> tuple[float, float]:
-    """Zero-point fluctuations (n_zpf, phi_zpf); their product is exactly 1/2."""
-    if e_j <= 0:
-        raise _ej_error(e_j)
-    r = (e_j / (8.0 * e_c)) ** 0.25
-    return r / math.sqrt(2.0), 1.0 / (r * math.sqrt(2.0))
-
-
 def ej_for_frequency(e_c: float, omega):
     """Josephson energy whose 01 frequency equals ``omega``.
 

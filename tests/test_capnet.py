@@ -100,6 +100,34 @@ class TestNetlistJson:
         with pytest.raises(NetlistError, match=r"capacitors\[0\]"):
             load_netlist({"topology": "floating-floating", "capacitors": [{"a": 1}]})
 
+    @pytest.mark.parametrize("a, shown", [
+        (2.9, "2.9"), (True, "True"), ("1", "'1'"), (float("inf"), "inf"),
+    ])
+    def test_node_ids_must_be_integers(self, a, shown):
+        with pytest.raises(NetlistError, match=rf"^capacitors\[0\]\.a must be an integer, got {shown}$"):
+            load_netlist({"topology": "floating-floating",
+                          "capacitors": [{"a": a, "b": 2, "fF": 3.0}]})
+
+    def test_integral_float_node_ids_are_accepted(self):
+        net = floating_coupler_design(True)
+        data = netlist_to_dict(net)
+        for cap in data["capacitors"]:
+            cap["a"], cap["b"] = float(cap["a"]), float(cap["b"])
+        assert load_netlist(data) == net
+
+    def test_capacitance_beyond_float_range(self):
+        with pytest.raises(NetlistError, match=r"^capacitors\[0\] needs integer 'a', 'b' "
+                                               r"and numeric 'fF': int too large"):
+            load_netlist({"topology": "floating-floating",
+                          "capacitors": [{"a": 1, "b": 2, "fF": 10**400}]})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, 9e-7, 1.1e6, float("inf"), float("nan")])
+    def test_capacitance_out_of_range(self, value):
+        with pytest.raises(NetlistError, match=rf"^capacitors\[0\]\.fF = {value!r} is outside "
+                                               r"\[1e-06, 1e\+06\] fF$"):
+            load_netlist({"topology": "floating-floating",
+                          "capacitors": [{"a": 1, "b": 2, "fF": value}]})
+
     def test_wrong_schema_version(self):
         with pytest.raises(NetlistError, match="schema"):
             load_netlist({"schema": 2, "topology": "floating-floating",

@@ -253,11 +253,12 @@ class TestFind:
             "sweep": {"range": [5.0, 6.0]},
         }
         path = write_json(tmp_path, "cfg.json", cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            with pytest.warns(UserWarning, match=r"every prescan point in \[5, 6\] hit"):
-                rc, out, err = run(capsys, "find", "--config", path, "--target", "zz")
-        assert (rc, out, err) == (3, "", "no zz roots in [5, 6]\n")
+        rc, out, err = run(capsys, "find", "--config", path, "--target", "zz")
+        assert (rc, out, err) == (3, "", (
+            "warning: every prescan point in [5, 6] hit a resonance pole or fell "
+            "outside the flux domain\n"
+            "no zz roots in [5, 6]\n"
+        ))
 
     def test_zz_roots_printed(self, tmp_path, capsys):
         path = write_json(tmp_path, "cfg.json", self.device_flux_config([0.0, 0.345]))
@@ -311,6 +312,18 @@ class TestFind:
         assert rc == code
         assert f"[0, {flux_range[1]:g}]" in err
         assert "] GHz" not in err
+
+    def test_warning_is_one_line_without_a_path(self, tmp_path):
+        path = write_json(tmp_path, "cfg.json", self.device_flux_config([0.0, 0.45]))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "couplerkit.cli", "find", "--config", path, "--target", "g"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 1
+        assert proc.stderr == (
+            "warning: net coupling crosses zero 2 times in [0, 0.45]; returning the lowest root\n"
+        )
 
     @pytest.mark.parametrize("target", ["g", "zz"])
     def test_flux_domain_edge_is_skipped(self, tmp_path, capsys, target):
@@ -641,6 +654,96 @@ class TestRunConfigErrors:
         assert_input_error(
             rc, err, f"sweep.range must hold positive coupler frequencies, got [{lo}, 6.0]"
         )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("backend", ["effective", "numeric"])
+    @pytest.mark.parametrize("levels, text", [
+        ([1, 5, 5], "levels must be three integers in [2, 12], got (1, 5, 5)"),
+        ([3.7, 5, 5], "levels[0] must be an integer, got 3.7"),
+        ([3, True, 5], "levels[1] must be an integer, got True"),
+        ([3, 5, "5"], "levels[2] must be an integer, got '5'"),
+    ])
+    def test_levels_are_checked_for_every_backend(self, tmp_path, capsys, command,
+                                                  backend, levels, text):
+        path = write_json(tmp_path, "cfg.json", model_run(backend=backend, levels=levels))
+        rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
+        assert out == ""
+        assert_input_error(rc, err, text)
+
+    def test_levels_option_is_checked_for_every_backend(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cfg.json", model_run())
+        rc, out, err = run(capsys, "sweep", "--config", path, "--levels", "1,5,5")
+        assert out == ""
+        assert_input_error(rc, err, "levels must be three integers in [2, 12], got (1, 5, 5)")
+
+    @pytest.mark.parametrize("points", [10.9, True, "10", None])
+    def test_sweep_points_must_be_an_integer(self, tmp_path, capsys, points):
+        path = write_json(tmp_path, "cfg.json", model_run(
+            sweep={"quantity": "g", "range": [2.77, 4.0], "points": points}))
+        rc, out, err = run(capsys, "sweep", "--config", path)
+        assert out == ""
+        assert_input_error(rc, err, f"sweep.points must be an integer, got {points!r}")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_qubit_without_positive_frequency_at_its_flux(self, tmp_path, capsys, command):
+        # the symmetric qubit SQUID has no Josephson energy at half a flux quantum
+        path = write_json(tmp_path, "cfg.json", netlist_run(flux={"qubit1": 0.5}))
+        rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
+        assert out == ""
+        assert_input_error(
+            rc, err, "squids.qubit1 at flux.qubit1 = 0.5 leaves qubit 1 no positive frequency"
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_tiny_qubit_ej_sum(self, tmp_path, capsys, command):
+        cfg = netlist_run()
+        cfg["squids"]["qubit2"] = {"ej_sum": 0.01}
+        path = write_json(tmp_path, "cfg.json", cfg)
+        rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
+        assert (rc, out) == (2, "")
+        warning, error = err.splitlines()
+        assert warning == ("warning: qubit2: EJ/EC = 0.1 at zero flux is below the transmon "
+                           "regime threshold 20.0")
+        assert error == ("input error: squids.qubit2 at flux.qubit2 = 0.0 leaves qubit 2 "
+                         "no positive frequency")
+
+    @pytest.mark.parametrize("command", ["energies", "sweep"])
+    @pytest.mark.parametrize("field, value", [
+        ("a", "1e400"), ("a", "2.9"), ("a", "true"), ("b", "\"3\""),
+    ])
+    def test_capacitor_node_ids_must_be_integers(self, tmp_path, capsys, command, field,
+                                                 value):
+        net = netlist_to_dict(floating_coupler_design(True))
+        net["capacitors"][2][field] = "VALUE"
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net).replace('"VALUE"', value))
+        if command == "energies":
+            argv = ["energies", str(net_path)]
+        else:
+            argv = ["sweep", "--config",
+                    write_json(tmp_path, "cfg.json", netlist_run(netlist=str(net_path)))]
+        rc, out, err = run(capsys, *argv)
+        shown = {"1e400": "inf", "true": "True", '"3"': "'3'"}.get(value, value)
+        assert out == ""
+        assert_input_error(rc, err, f"capacitors[2].{field} must be an integer, got {shown}")
+
+    @pytest.mark.parametrize("command", ["energies", "sweep"])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_capacitances_out_of_range(self, tmp_path, capsys, command, scale):
+        # every capacitance scaled alike keeps the network valid, but the
+        # energy formulas divide by zero or overflow
+        net = netlist_to_dict(floating_coupler_design(True))
+        for cap in net["capacitors"]:
+            cap["fF"] *= scale
+        net_path = write_json(tmp_path, "net.json", net)
+        if command == "energies":
+            argv = ["energies", net_path]
+        else:
+            argv = ["sweep", "--config", write_json(tmp_path, "cfg.json", netlist_run(netlist=net_path))]
+        rc, out, err = run(capsys, *argv)
+        assert out == ""
+        assert_input_error(rc, err, f"capacitors[0].fF = {110 * scale!r} is outside "
+                                    "[1e-06, 1e+06] fF")
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.filterwarnings("ignore:net coupling crosses zero 2 times")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from couplerkit import FluxDomainError, SquidParams, ej_of_flux, flux_for_ej, \
-    phase_from_flux_ratio, phi0_of_flux, upsilon
+    phase_from_flux_ratio, phi0_of_flux
 
 ASYM = SquidParams(ej_large=12.0, ej_small=8.0)
 
@@ -83,25 +83,6 @@ class TestPhi0:
         assert np.max(np.abs(np.diff(vals))) < 1e-2
 
 
-class TestUpsilon:
-    def test_unity_at_zero_flux(self):
-        assert upsilon(ASYM, 0.0) == pytest.approx(1.0)
-
-    def test_half_period_value(self):
-        # (20/4)^(1/4)
-        assert upsilon(ASYM, math.pi) == pytest.approx(5.0**0.25, rel=1e-12)
-
-    def test_monotone_on_half_period(self):
-        phis = np.linspace(0.0, math.pi, 200)
-        vals = [upsilon(ASYM, p) for p in phis]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_domain_error_at_vanishing_ej(self):
-        sym = SquidParams(10.0, 10.0)
-        with pytest.raises(FluxDomainError):
-            upsilon(sym, math.pi)
-
-
 class TestFluxForEj:
     def test_round_trip(self):
         for phi in (0.0, 0.7, 2.2, math.pi):
@@ -131,14 +112,6 @@ def test_ej_bounds(p, phi):
     ej = ej_of_flux(p, phi)
     lo, hi = p.ej_large - p.ej_small, p.ej_sum
     assert lo - 1e-9 <= ej <= hi + 1e-9
-
-
-@settings(max_examples=100, deadline=None)
-@given(p=squids, phi=phases)
-def test_upsilon_at_least_one(p, phi):
-    ej = ej_of_flux(p, phi)
-    if ej > 1e-9:
-        assert upsilon(p, phi) >= 1.0 - 1e-12
 
 
 def test_ej_bounds_bulk():

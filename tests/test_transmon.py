@@ -19,7 +19,6 @@ from couplerkit import (
     frequency_from_energies,
     system_model,
     tune_coupler,
-    zpf_from_energies,
 )
 from couplerkit.presets import ASYMMETRIC_DEVICE, SYMMETRIC_DEVICE, device_flux_builder
 
@@ -130,28 +129,6 @@ class TestEjForFrequency:
     def test_nan_entry_of_an_array_is_nan(self):
         ej = ej_for_frequency(0.2, np.array([4.0, math.nan]))
         assert ej[0] == ej_for_frequency(0.2, 4.0) and math.isnan(ej[1])
-
-
-class TestZpf:
-    def test_product_is_half(self):
-        for e_c, e_j in ((0.2, 10.0), (0.15, 30.0), (0.3, 6.1)):
-            n_zpf, phi_zpf = zpf_from_energies(e_c, e_j)
-            assert n_zpf * phi_zpf == pytest.approx(0.5, rel=1e-12)
-
-    def test_ratio_50(self):
-        n_zpf, _ = zpf_from_energies(1.0, 50.0)
-        assert n_zpf == pytest.approx((50.0 / 8.0) ** 0.25 / math.sqrt(2), rel=1e-12)
-        assert n_zpf == pytest.approx(1.1180, abs=1e-4)
-
-    def test_ratio_8(self):
-        n_zpf, phi_zpf = zpf_from_energies(1.0, 8.0)
-        assert n_zpf == pytest.approx(1.0 / math.sqrt(2), rel=1e-12)
-        assert phi_zpf == pytest.approx(1.0 / math.sqrt(2), rel=1e-12)
-
-    def test_through_params(self):
-        p = make_transmon(0.2, 12.0)
-        n_zpf, phi_zpf = zpf_from_energies(p.e_c, ej_of_flux(p.squid, 0.0))
-        assert n_zpf * phi_zpf == pytest.approx(0.5, rel=1e-12)
 
 
 class TestTransmonParams:
@@ -328,6 +305,13 @@ class TestTuneCoupler:
             self.BASE.g12,
         )
         assert m.omegac == frequency_from_energies(0.175, ej)
+
+    def test_half_flux_quantum_of_asymmetric_squid(self):
+        # EJ falls from 12 + 8 to 12 - 8 GHz at phi = pi: rates scale by 5^(-1/4)
+        squid = SquidParams(ej_large=12.0, ej_small=8.0)
+        m = tune_coupler(self.BASE, 0.175, ej_of_flux(squid, 0.0), ej_of_flux(squid, math.pi))
+        assert m.g1c == pytest.approx(self.BASE.g1c * 5.0**-0.25, rel=1e-12)
+        assert m.g2c == pytest.approx(self.BASE.g2c * 5.0**-0.25, rel=1e-12)
 
     def test_vanishing_ej_rejected(self):
         with pytest.raises(FluxDomainError):

@@ -1,0 +1,230 @@
+"""Compare the CLI's exit codes, stdout and stderr between two source checkouts.
+
+    python3 tools/cli_corpus.py CHECKOUT_A CHECKOUT_B
+
+Each checkout runs the same fixed corpus of ``couplerkit`` commands in one
+subprocess of its own, with its ``src`` and ``perfbench`` on the import path;
+every command is an in-process ``cli.main`` call.  The corpus:
+
+- the effective ``sweep`` of every design-scan input of seeds 1-100;
+- the ``--backend both`` sweep of every numeric-zz input of seeds 1-6;
+- ``find --target g`` and ``find --target zz`` on each of those configs,
+  with the same backend options;
+- malformed run configs, each run with ``sweep`` and ``find --target g``.
+
+The inputs are built with the checkout's ``perfbench/workloads.py`` and
+removed afterwards.  Every config is passed by a path relative to its
+folder, and each checkout's root reads ``<root>`` in stdout and stderr, so
+that only the program's own output is compared.  Each command runs inside
+``warnings.catch_warnings()``, so each one warns as a fresh process does;
+an exception that escapes ``main`` stands in for its exit code.
+The script prints every command whose exit code, stdout or stderr differs,
+then the number of commands and differences by command, and exits 1 when
+any command differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import warnings
+from collections import Counter
+from pathlib import Path
+
+DESIGN_SEEDS = range(1, 101)
+NUMERIC_SEEDS = range(1, 7)
+SHOWN_CHARS = 600  # of a differing stderr or stdout
+
+
+def malformed_configs() -> list[dict]:
+    """Run configs that a reader rejects, or that the model cannot evaluate."""
+    import couplerkit as ck
+    from couplerkit.capnet import netlist_to_dict
+    from couplerkit.presets import FLOATING_DESIGN_RATES_SYMMETRIC, floating_coupler_design
+
+    model = {"omega1": 4.58, "omega2": 4.64, "omegac": 4.0, "eta1": 0.23, "eta2": 0.233,
+             "etac": 0.19, **FLOATING_DESIGN_RATES_SYMMETRIC}
+
+    def model_run(**extra):
+        cfg = {"schema": 1, "model": dict(model),
+               "sweep": {"quantity": "g", "range": [2.77, 4.0], "points": 5}}
+        return {**cfg, **extra}
+
+    net = floating_coupler_design(True)
+    e = ck.energies_exact(net)
+
+    def netlist_run(**extra):
+        cfg = {"schema": 1, "netlist": netlist_to_dict(net),
+               "squids": {"qubit1": {"ej_sum": ck.ej_for_frequency(e.ec1, 4.58)},
+                          "qubit2": {"ej_sum": ck.ej_for_frequency(e.ec2, 4.64)},
+                          "coupler": {"ej_sum": ck.ej_for_frequency(e.ecc, 6.041)}},
+               "sweep": {"quantity": "g", "variable": "coupler-flux",
+                         "range": [0.05, 0.45], "points": 5}}
+        return {**cfg, **extra}
+
+    def with_node(field, value):
+        bad = netlist_to_dict(net)
+        bad["capacitors"][2][field] = value
+        return netlist_run(netlist=bad)
+
+    flux_sweep = {"quantity": "g", "variable": "coupler-flux", "range": [0.0, 0.4], "points": 5}
+    tiny = netlist_run()
+    tiny["squids"] = {**tiny["squids"], "qubit2": {"ej_sum": 0.01}}
+    return [
+        model_run(levels=5),
+        model_run(model=5),
+        netlist_run(flux=[]),
+        netlist_run(flux={"qubit1": None}),
+        netlist_run(netlist="no-such-netlist.json"),
+        netlist_run(squids={"qubit1": {"ej_sum": 1e200}, "qubit2": {"ej_sum": 15.0},
+                            "coupler": {"ej_sum": 28.0}}),
+        model_run(model={**model, "g12": 1e200},
+                  sweep={"quantity": "zz", "range": [2.77, 4.0], "points": 5}),
+        model_run(sweep={"range": [2.77, float("nan")]}),
+        model_run(sweep={"quantity": "g", "range": [2.77, 4.0], "points": 1_000_001}),
+        model_run(coupler_squid={"ej_sum": 30.0}, coupler_ec=-0.2, sweep=flux_sweep),
+        model_run(coupler_squid={"ej_sum": 30.0}, coupler_ec=0.0, sweep=flux_sweep),
+        model_run(coupler_squid={"ej_sum": 1.0}, coupler_ec=100.0, sweep=flux_sweep),
+        model_run(sweep={"quantity": "g", "range": [0.0, 6.0], "points": 5}),
+        netlist_run(sweep={"quantity": "g", "range": [-1.0, 6.0], "points": 5}),
+        netlist_run(flux={"coupler": 0.5}),
+        netlist_run(flux={"coupler": 0.5}, sweep={"quantity": "g", "range": [2.77, 4.0],
+                                                  "points": 5}),
+        model_run(backend="magic"),
+        model_run(levels=[1, 5, 5]),
+        model_run(levels=[1, 5, 5], backend="numeric"),
+        model_run(levels=[3.7, 5, 5]),
+        model_run(sweep={"quantity": "g", "range": [2.77, 4.0], "points": 10.9}),
+        model_run(sweep={"quantity": "g", "range": [2.77, 4.0], "points": True}),
+        netlist_run(flux={"qubit1": 0.5}),
+        tiny,
+        with_node("a", 2.9),
+        with_node("a", True),
+        with_node("a", float("inf")),
+        with_node("b", "3"),
+    ]
+
+
+def corpus():
+    """(label, folder, argv) of every command; argv names a file in the folder,
+    which is removed once its commands have run."""
+    import workloads
+
+    malformed = workloads._InputFiles(0, "cli-corpus")
+    try:
+        for i, cfg in enumerate(malformed_configs()):
+            name = Path(malformed.write_json(f"malformed-{i}.json", cfg)).name
+            yield f"malformed-{i} sweep", malformed, ["sweep", "--config", name]
+            yield f"malformed-{i} find-g", malformed, ["find", "--config", name, "--target", "g"]
+    finally:
+        malformed.remove()
+
+    for seed in NUMERIC_SEEDS:
+        work = workloads.NumericZZ(seed)
+        try:
+            for (design, levels, _), path in zip(work.sweeps, work.configs):
+                opts = ["--backend", "both", "--levels", ",".join(map(str, levels))]
+                yield from _runs(f"numeric-zz/{seed}/{design.key}", work.files, path, opts)
+        finally:
+            work.files.remove()
+
+    for seed in DESIGN_SEEDS:
+        work = workloads.DesignScan(seed)
+        try:
+            for design, *_, path in work.items:
+                opts = ["--backend", "effective"]
+                yield from _runs(f"design-scan/{seed}/{design.key}", work.files, path, opts)
+        finally:
+            work.files.remove()
+
+
+def _runs(label, files, path, opts):
+    name = Path(path).name
+    yield f"{label} sweep", files, ["sweep", "--config", name, *opts]
+    for target in ("g", "zz"):
+        yield f"{label} find-{target}", files, ["find", "--config", name, "--target", target, *opts]
+
+
+def worker(root: Path) -> None:
+    """Run the corpus with this process's ``couplerkit``; one JSON line each."""
+    from couplerkit import cli
+
+    start = os.getcwd()
+    for label, files, argv in corpus():
+        os.chdir(files.dir)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                code = cli.main(argv)
+        except Exception as exc:  # an exception that escapes main is compared too
+            code = f"raised {exc!r}"
+        finally:
+            os.chdir(start)
+        stdout = out.getvalue().replace(str(root), "<root>")
+        print(json.dumps({
+            "label": label, "code": code,
+            "stdout": stdout if len(stdout) <= SHOWN_CHARS else None,
+            "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
+            "stderr": err.getvalue().replace(str(root), "<root>"),
+        }), flush=True)
+
+
+def run_checkout(checkout: Path) -> dict[str, dict]:
+    root = checkout.resolve()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--worker", str(root)],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"error: the corpus in {root} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    return {r["label"]: r for r in results}
+
+
+def _shown(text: str | None) -> str:
+    if text is None:
+        return "(long; only its hash is kept)"
+    return repr(text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS] + "...")
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--worker"]:  # the subprocess of one checkout
+        worker(Path(argv[1]))
+        return 0
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("a", type=Path, help="first checkout (the parent, say)")
+    p.add_argument("b", type=Path, help="second checkout")
+    args = p.parse_args(argv)
+    a, b = run_checkout(args.a), run_checkout(args.b)
+    runs, differ = Counter(), Counter()
+    for label, ra in a.items():
+        rb = b[label]
+        command = label.rsplit(" ", 1)[1]
+        runs[command] += 1
+        if (ra["code"], ra["stdout_sha256"], ra["stderr"]) == (rb["code"], rb["stdout_sha256"], rb["stderr"]):
+            continue
+        differ[command] += 1
+        print(f"{label}: exit {ra['code']} -> {rb['code']}")
+        if ra["stdout_sha256"] != rb["stdout_sha256"]:
+            print(f"  stdout A: {_shown(ra['stdout'])}\n  stdout B: {_shown(rb['stdout'])}")
+        if ra["stderr"] != rb["stderr"]:
+            print(f"  stderr A: {_shown(ra['stderr'])}\n  stderr B: {_shown(rb['stderr'])}")
+    print(f"\n{'command':<8} {'runs':>6} {'differ':>6}")
+    for command in sorted(runs):
+        print(f"{command:<8} {runs[command]:>6} {differ[command]:>6}")
+    print(f"{'all':<8} {sum(runs.values()):>6} {sum(differ.values()):>6}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
