@@ -391,6 +391,16 @@ def json_integer(field: str, value) -> int:
     raise NetlistError(f"{field} must be an integer, got {value!r}")
 
 
+def json_number(field: str, value) -> float:
+    """``value`` of the JSON ``field`` as a float.  A bool or a string (even
+    "4.58") is a NetlistError that names the field; any other value goes to
+    ``float``, so a null raises TypeError there and an integer beyond the
+    float range OverflowError."""
+    if isinstance(value, (bool, str)):
+        raise NetlistError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_netlist(source: str | Path | dict) -> CapNetwork:
     """Build a CapNetwork from JSON text, a ``Path`` to a JSON file, or a parsed dict.
 
@@ -431,7 +441,7 @@ def load_netlist(source: str | Path | dict) -> CapNetwork:
         try:
             a = json_integer(f"capacitors[{i}].a", item["a"])
             b = json_integer(f"capacitors[{i}].b", item["b"])
-            v = float(item["fF"])
+            v = json_number(f"capacitors[{i}].fF", item["fF"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise NetlistError(
                 f"capacitors[{i}] needs integer 'a', 'b' and numeric 'fF': {exc}"

@@ -22,6 +22,7 @@ from .effmodel import ModelBuilder
 from .errors import (
     AssumptionViolationError,
     CouplerKitError,
+    FluxDomainError,
     LabelingError,
     NetlistError,
     NoRootError,
@@ -85,15 +86,17 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _bounded(field: str, value: float) -> float:
-    """``value`` of the config ``field``; NaN, infinities and magnitudes above
-    MAX_CONFIG_MAGNITUDE are input errors that name the field."""
-    if not abs(value) <= MAX_CONFIG_MAGNITUDE:
+def _bounded(field: str, value) -> float:
+    """``value`` of the config ``field`` as a float (``capnet.json_number``);
+    NaN, infinities and magnitudes above MAX_CONFIG_MAGNITUDE are input
+    errors that name the field."""
+    number = capnet.json_number(field, value)
+    if not abs(number) <= MAX_CONFIG_MAGNITUDE:
         raise NetlistError(
             f"{field} = {value!r} is out of range "
             f"(magnitude at most {MAX_CONFIG_MAGNITUDE:g})"
         )
-    return value
+    return number
 
 
 def _squid_from_config(cfg: dict, where: str) -> SquidParams:
@@ -102,12 +105,12 @@ def _squid_from_config(cfg: dict, where: str) -> SquidParams:
     try:
         if "ej_sum" in cfg:
             return SquidParams.from_sum_asymmetry(
-                _bounded(f"{where}.ej_sum", float(cfg["ej_sum"])),
-                float(cfg.get("asymmetry", 0.0)),
+                _bounded(f"{where}.ej_sum", cfg["ej_sum"]),
+                capnet.json_number(f"{where}.asymmetry", cfg.get("asymmetry", 0.0)),
             )
         return SquidParams(
-            _bounded(f"{where}.ej_large", float(cfg["ej_large"])),
-            _bounded(f"{where}.ej_small", float(cfg["ej_small"])),
+            _bounded(f"{where}.ej_large", cfg["ej_large"]),
+            _bounded(f"{where}.ej_small", cfg["ej_small"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NetlistError(
@@ -126,14 +129,14 @@ def _model_block(cfg: dict) -> tuple[SystemModel, ModelBuilder | None]:
     if missing:
         raise NetlistError(f"model block missing fields: {', '.join(missing)}")
     try:
-        base = SystemModel(**{n: _bounded(f"model.{n}", float(block[n])) for n in names})
+        base = SystemModel(**{n: _bounded(f"model.{n}", block[n]) for n in names})
     except (TypeError, ValueError, OverflowError) as exc:
         raise NetlistError(f"model block: {exc}") from exc
     if "coupler_squid" not in cfg:
         return base, None
     squid = _squid_from_config(cfg["coupler_squid"], "coupler_squid")
     try:
-        e_c = _bounded("coupler_ec", float(cfg["coupler_ec"]))
+        e_c = _bounded("coupler_ec", cfg["coupler_ec"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NetlistError(
             "coupler-flux sweeps from a model block need numeric 'coupler_ec'"
@@ -182,7 +185,7 @@ def _netlist_model(cfg: dict) -> tuple[float, ModelBuilder]:
         raise NetlistError("flux must be an object")
     try:
         x1, x2, xc = (
-            _bounded(f"flux.{k}", float(flux.get(k, 0.0)))
+            _bounded(f"flux.{k}", flux.get(k, 0.0))
             for k in ("qubit1", "qubit2", "coupler")
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -252,7 +255,13 @@ def _read_run(
         import couplerkit.presets as presets
 
         if base is None:
-            base = flux_builder(coupler_flux)
+            try:
+                base = flux_builder(coupler_flux)
+            except FluxDomainError as exc:
+                raise NetlistError(
+                    f"squids.coupler at flux.coupler = {coupler_flux!r} leaves "
+                    "the coupler no positive frequency"
+                ) from exc
         builder = presets.frequency_sweep_builder(base)
     elif variable != "coupler-flux":
         raise NetlistError(
@@ -267,7 +276,7 @@ def _read_run(
     else:
         builder = flux_builder
     try:
-        lo, hi = (_bounded("sweep.range", float(v)) for v in sweep["range"])
+        lo, hi = (_bounded("sweep.range", v) for v in sweep["range"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NetlistError(f"sweep block needs 'range': [lo, hi]: {exc}") from exc
     if not lo < hi:
@@ -310,17 +319,14 @@ def cmd_energies(args: argparse.Namespace) -> int:
 
 
 def _sweep_row(
-    builder: ModelBuilder,
-    x: float,
-    want_g: bool,
-    want_pert: bool,
-    want_numeric: bool,
-    levels: tuple[int, int, int],
+    builder: ModelBuilder, x: float, want_g: bool, want_pert: bool
 ) -> dict[str, str]:
-    """Cells of the sweep row at ``x`` from the float model there.
+    """Effective-model cells of the sweep row at ``x`` from the float model
+    there.
 
-    A cell is left out where the model, g or a ZZ is undefined, with a
-    ``warning: x = ...`` line on stderr for each; any other error raises.
+    A cell is left out where the model, g or the perturbative ZZ is
+    undefined, with a ``warning: x = ...`` line on stderr for each; any
+    other error raises.
     """
     cells = {"x_value": _fmt(x)}
     try:
@@ -343,11 +349,6 @@ def _sweep_row(
             cells["zeta_pert_mhz"] = _fmt(zz.zeta_total * 1e3)
         except ResonanceError as exc:
             print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
-    if want_numeric:
-        try:
-            cells["zeta_numeric_mhz"] = _fmt(numdiag.zz_numeric(m, levels) * 1e3)
-        except LabelingError as exc:
-            print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
     return cells
 
 
@@ -360,25 +361,19 @@ def _sweep_rows(
 ) -> tuple[list[str], list[str]]:
     """Header cells and row lines of the sweep CSV.
 
-    The model, g and the perturbative ZZ are one array evaluation over
-    ``xs``, and each row of finite array values is written with one
-    ``%.9g`` format (the bytes of ``_fmt``).  The numeric ZZ is one
-    eigensolve per row; where it raises LabelingError the row prints its
-    warning and leaves that cell blank.  A row with a non-finite array
-    cell is rebuilt by ``_sweep_row``, which prints its warnings as a
-    per-row evaluation does.
+    The model, g and both ZZs are one array evaluation over ``xs``, and
+    each row of finite array values is written with one ``%.9g`` format
+    (the bytes of ``_fmt``).  A row with a non-finite effective-model cell
+    is rebuilt by ``_sweep_row``, which prints its warnings as a per-row
+    evaluation does.  A modeled point whose numeric ZZ is NaN is solved
+    again on its float model, to print the LabelingError as a warning, and
+    leaves that cell blank.
     """
     want_g = quantity in ("g", "both")
     want_zz = quantity in ("zz", "both")
     want_numeric = want_zz and backend in ("numeric", "both")
     want_pert = want_zz and backend in ("effective", "both")
     header = ["x_value", "g_eff_mhz", "g_mhz", "zeta2_mhz", "zeta34_mhz", "zeta_pert_mhz"]
-    if want_numeric:
-        header.append("zeta_numeric_mhz")
-
-    def float_row(x: float) -> str:
-        cells = _sweep_row(builder, x, want_g, want_pert, want_numeric, levels)
-        return ",".join(cells.get(h, "") for h in header)
 
     m = builder(xs)
     values = {"x_value": xs}
@@ -390,24 +385,40 @@ def _sweep_rows(
         values["zeta2_mhz"] = zz.zeta2 * 1e3
         values["zeta34_mhz"] = zz.zeta34 * 1e3
         values["zeta_pert_mhz"] = zz.zeta_total * 1e3
-    row_format = ",".join("%.9g" if h in values else "" for h in header[:6])
+    row_format = ",".join("%.9g" if h in values else "" for h in header)
     table = np.column_stack(list(values.values()))
     # m.omegac is NaN where the builder could not model the point
-    finite = np.isfinite(table).all(axis=1) & np.isfinite(m.omegac)
+    modeled = np.isfinite(m.omegac)
+    finite = np.isfinite(table).all(axis=1) & modeled
+    if want_numeric:
+        header.append("zeta_numeric_mhz")
+        zetas = (numdiag.zz_numeric(m, levels) * 1e3).tolist()
     lines = []
-    for x, ok, row in zip(xs.tolist(), finite.tolist(), table.tolist()):
-        if not ok:
-            lines.append(float_row(x))
-            continue
-        line = row_format % tuple(row)
+    for i, (x, ok, row) in enumerate(zip(xs.tolist(), finite.tolist(), table.tolist())):
+        if ok:
+            line = row_format % tuple(row)
+        else:
+            cells = _sweep_row(builder, x, want_g, want_pert)
+            line = ",".join(cells.get(h, "") for h in header[:6])
         if want_numeric:
-            try:
-                line += "," + _fmt(numdiag.zz_numeric(builder(x), levels) * 1e3)
-            except LabelingError as exc:
-                print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
-                line += ","
+            line += "," + (_numeric_cell(builder, x, zetas[i], levels) if modeled[i] else "")
         lines.append(line)
     return header, lines
+
+
+def _numeric_cell(
+    builder: ModelBuilder, x: float, zeta_mhz: float, levels: tuple[int, int, int]
+) -> str:
+    """The numeric ZZ cell of a modeled point.  A NaN solves the float model
+    again to print its LabelingError as a ``warning: x = ...`` line, and
+    leaves the cell blank."""
+    if zeta_mhz == zeta_mhz:  # not NaN
+        return _fmt(zeta_mhz)
+    try:
+        return _fmt(numdiag.zz_numeric(builder(x), levels) * 1e3)
+    except LabelingError as exc:
+        print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
+        return ""
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -470,7 +481,8 @@ def _read_fit(cfg: dict) -> tuple[fitkit.CouplerFluxModel, tuple[str, ...]]:
         raise NetlistError("fit config needs an 'init' object")
     try:
         init = fitkit.CouplerFluxModel(
-            **{k: float(init_block[k]) for k in fitkit.FIT_PARAMETER_NAMES if k in init_block}
+            **{k: capnet.json_number(f"init.{k}", init_block[k])
+               for k in fitkit.FIT_PARAMETER_NAMES if k in init_block}
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise NetlistError(f"init block: {exc}") from exc

@@ -211,9 +211,13 @@ def _scan(
     return xs, ys
 
 
-def _memoized(f: Callable[[float], float]) -> Callable[[float], float]:
-    """``f`` evaluated at most once per exact argument; errors are not kept."""
-    values: dict[float, float] = {}
+def _memoized(
+    f: Callable[[float], float], xs: ndarray, ys: ndarray
+) -> Callable[[float], float]:
+    """``f`` evaluated at most once per exact argument, starting from its
+    finite prescan values ``ys = f(xs)``; errors are not kept."""
+    finite = np.isfinite(ys)
+    values = dict(zip(xs[finite].tolist(), ys[finite].tolist()))
 
     def once(x: float) -> float:
         if x not in values:
@@ -278,7 +282,7 @@ def find_zero_g(
         return g_net(builder(wc)).g
 
     xs, ys = _scan(f, band, prescan_points)
-    roots = _refine_brackets(_memoized(f), xs, ys)
+    roots = _refine_brackets(_memoized(f, xs, ys), xs, ys)
     if not roots:
         finite = np.where(np.isfinite(ys))[0]
         f_lo = ys[finite[0]] if finite.size else float("nan")
@@ -304,36 +308,32 @@ def find_zero_zz(
 
     ``backend`` selects the perturbative expansion or exact diagonalization
     (``"numeric"``, truncated at ``levels`` per mode).  Returns an empty list
-    when no roots are found.  The prescan calls ``builder`` once on an array
-    of points, except on the numeric backend, which diagonalizes one point
-    at a time.  The numeric backend skips a point whose dressed states it
-    cannot label (LabelingError) like a pole, and issues one LabelingWarning
-    with the number of prescan points skipped so.
+    when no roots are found.  The prescan calls ``builder`` and the backend
+    once on an array of points, and Brent's method refines on floats,
+    evaluating no point twice.  The numeric backend skips a point whose
+    dressed states it cannot label (LabelingError) like a pole, and issues
+    one LabelingWarning with the number of prescan points skipped so.
     """
-    unlabeled: list[float] = []
+    unlabeled = 0  # prescan points with a model but no labeled dressed states
     if backend == "perturbative":
 
-        def prescan(wc):
+        def zeta(wc):
             return zz_perturbative(builder(wc)).zeta_total
 
-        f = _memoized(prescan)
+        prescan = zeta
 
     elif backend == "numeric":
         from .numdiag import zz_numeric
 
-        f = _memoized(lambda wc: zz_numeric(builder(wc), levels))
+        def zeta(wc):
+            return zz_numeric(builder(wc), levels)
 
         def prescan(xs: ndarray) -> ndarray:
-            # one eigensolve per point
-            ys = np.empty_like(xs)
-            for i, x in enumerate(xs):
-                try:
-                    ys[i] = f(x)
-                except (ResonanceError, FluxDomainError):
-                    ys[i] = np.nan
-                except LabelingError:
-                    ys[i] = np.nan
-                    unlabeled.append(x)
+            nonlocal unlabeled
+            m = builder(xs)
+            ys = zz_numeric(m, levels)
+            # m.omegac is NaN where the builder could not model the point
+            unlabeled = np.count_nonzero(np.isfinite(m.omegac) & np.isnan(ys))
             return ys
 
     else:
@@ -342,9 +342,9 @@ def find_zero_zz(
     xs, ys = _scan(prescan, band, prescan_points)
     if unlabeled:
         warnings.warn(
-            f"{len(unlabeled)} of {prescan_points} prescan points in "
+            f"{unlabeled} of {prescan_points} prescan points in "
             f"[{band[0]:.6g}, {band[1]:.6g}] could not be labeled and were skipped",
             LabelingWarning,
             stacklevel=2,
         )
-    return _refine_brackets(f, xs, ys)
+    return _refine_brackets(_memoized(zeta, xs, ys), xs, ys)

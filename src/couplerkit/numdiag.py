@@ -54,10 +54,18 @@ class TruncatedHamiltonian:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The block holding ``labels`` (all of one total-excitation parity)
         and the rows of the labels in it."""
-        parity = sum(labels[0]) % 2
-        indices = _mode_operators(self.levels)[parity][0]
-        rows = np.searchsorted(indices, [self.index(*label) for label in labels])
+        parity, rows = _label_rows(self.levels, labels)
         return self.blocks[parity], rows
+
+
+def _label_rows(
+    levels: tuple[int, int, int], labels: tuple[tuple[int, int, int], ...]
+) -> tuple[int, np.ndarray]:
+    """The parity of ``labels`` (all of one total-excitation parity) and
+    their rows in the block of that sector."""
+    parity = sum(labels[0]) % 2
+    indices = _mode_operators(levels)[parity][0]
+    return parity, np.searchsorted(indices, np.ravel_multi_index(np.transpose(labels), levels))
 
 
 @lru_cache(maxsize=32)
@@ -98,27 +106,50 @@ def _mode_operators(levels: tuple[int, int, int]):
     return tuple(sectors)
 
 
-def build_hamiltonian(
-    m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS
-) -> TruncatedHamiltonian:
-    """Assemble the truncated Hamiltonian (real, exactly symmetric, GHz)."""
+def _check_levels(levels) -> tuple[int, int, int]:
+    """``levels`` as three ints in [MIN_LEVELS, MAX_LEVELS]; a ValueError otherwise."""
     levels = tuple(int(n) for n in levels)
     if len(levels) != 3 or any(not MIN_LEVELS <= n <= MAX_LEVELS for n in levels):
         raise ValueError(
             f"levels must be three integers in [{MIN_LEVELS}, {MAX_LEVELS}], "
             f"got {levels}"
         )
-    rates = (m.g1c, m.g2c, m.g12)
+    return levels
+
+
+def _parameters(m: SystemModel) -> tuple[np.ndarray, np.ndarray]:
+    """The coupling rates g1c, g2c, g12 (3, P) and the diagonal ladder
+    coefficients (P, 6) of a model of P points; a float model has P = 1."""
+    rates = np.array([m.g1c, m.g2c, m.g12], dtype=float).reshape(3, -1)
     p = np.array([
         m.omega1, -0.5 * m.eta1, m.omegac, -0.5 * m.etac, m.omega2, -0.5 * m.eta2
-    ])
+    ], dtype=float).reshape(6, -1)
+    return rates, np.ascontiguousarray(p.T)
+
+
+def _fill_block(block: np.ndarray, sector, rates, p: np.ndarray) -> np.ndarray:
+    """Write one point's sector Hamiltonian into ``block``, whose entries off
+    the coupling supports and the diagonal stay zero; returns the diagonal."""
+    _, ladder, couplings = sector
+    flat = block.reshape(-1)
+    # the three couplings have disjoint supports and a zero diagonal
+    for g, (positions, values) in zip(rates, couplings):
+        flat[positions] = g * values
+    diagonal = ladder @ p
+    flat[:: len(diagonal) + 1] = diagonal
+    return diagonal
+
+
+def build_hamiltonian(
+    m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS
+) -> TruncatedHamiltonian:
+    """Assemble the truncated Hamiltonian (real, exactly symmetric, GHz)."""
+    levels = _check_levels(levels)
+    rates, p = _parameters(m)
     blocks = []
-    for _, ladder, couplings in _mode_operators(levels):
-        h = np.zeros((len(ladder), len(ladder)))
-        # the three couplings have disjoint supports and a zero diagonal
-        for g, (positions, values) in zip(rates, couplings):
-            h.flat[positions] = g * values
-        np.fill_diagonal(h, ladder @ p)
+    for sector in _mode_operators(levels):
+        h = np.zeros((len(sector[0]), len(sector[0])))
+        _fill_block(h, sector, rates[:, 0], p[0])
         blocks.append(h)
     return TruncatedHamiltonian(levels=levels, blocks=tuple(blocks))
 
@@ -136,57 +167,110 @@ def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energies, vectors
 
 
-def _label_matches(block: np.ndarray, rows: np.ndarray) -> list[tuple[float, float]]:
-    """(energy, overlap) of the eigenstate each label row takes: the one it
-    dominates (is the largest component of) with the largest overlap, or an
-    overlap of -1 when it dominates none.
-
-    A label's squared overlaps sum to 1, so an eigenstate with overlap > 0.5
-    is unique and dominated by the label, and that is the one the rule picks.
-    Only the lowest eigenpairs, up to a margin above the labels' bare-energy
-    ranks, are solved first; the full solve runs when any label has no such
-    eigenstate among them.
-    """
-    diag = block.diagonal()
-    rank = max(np.count_nonzero(diag <= diag[row]) for row in rows)
-    count = min(len(diag), rank + _WINDOW_MARGIN)
-    energies, vectors, _, _, info = dsyevr(block, range="I", il=1, iu=count)
-    weights = vectors[rows] ** 2
-    best = np.argmax(weights, axis=1)
-    overlaps = weights[np.arange(len(rows)), best]
-    if info == 0 and np.all(overlaps > LABEL_OVERLAP_THRESHOLD):
-        return [(float(energies[b]), float(o)) for b, o in zip(best, overlaps)]
+def _label_matches(block: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and overlaps of the eigenstates the label rows take, from all
+    eigenpairs of ``block``: the one each label dominates (is the largest
+    component of) with the largest overlap, or an overlap of -1 when it
+    dominates none."""
     energies, vectors = _eigh(block)
     amplitudes = vectors**2
     dominant = np.argmax(amplitudes, axis=0)
-    matches = []
-    for row in rows:
-        overlaps = np.where(dominant == row, amplitudes[row], -1.0)
-        best = int(np.argmax(overlaps))
-        matches.append((float(energies[best]), float(overlaps[best])))
-    return matches
+    overlaps = np.where(dominant == rows[:, None], amplitudes[rows], -1.0)
+    best = np.argmax(overlaps, axis=1)
+    return energies[best], overlaps[np.arange(len(rows)), best]
+
+
+def _sector_matches(
+    block: np.ndarray,
+    sector,
+    rows: np.ndarray,
+    rates: np.ndarray,
+    p: np.ndarray,
+    points: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and overlaps (P, len(rows)) of the eigenstates the label rows
+    take in one parity sector at each of ``points``; NaN at the other points.
+
+    Each point is written into ``block`` in turn, and only its lowest
+    eigenpairs, up to a margin above the labels' bare-energy ranks, are
+    solved.  A label's squared overlaps sum to 1, so an eigenstate with
+    overlap > 0.5 is unique and dominated by the label, and that is the one
+    the rule of ``_label_matches`` picks.  A point where any label has no
+    such eigenstate among the solved ones takes the full solve of
+    ``_label_matches``.
+    """
+    n = len(block)
+    windows = []  # each point's window energies and squared label amplitudes
+    solved = np.zeros(len(points), dtype=bool)
+    for j, i in enumerate(points):
+        diagonal = _fill_block(block, sector, rates[:, i], p[i])
+        rank = np.count_nonzero(diagonal <= diagonal[rows].max())
+        count = min(n, rank + _WINDOW_MARGIN)
+        energies, vectors, _, _, info = dsyevr(block, range="I", il=1, iu=count)
+        windows.append((energies[:count], vectors[rows] ** 2))
+        solved[j] = info == 0
+    width = max((len(e) for e, _ in windows), default=1)
+    energies = np.zeros((len(points), width))
+    weights = np.zeros((len(points), len(rows), width))
+    for j, (e, w) in enumerate(windows):
+        energies[j, : len(e)] = e
+        weights[j, :, : len(e)] = w
+    best = np.argmax(weights, axis=2)
+    point = np.arange(len(points))[:, None]
+    overlaps = weights[point, np.arange(len(rows)), best]
+    energies = energies[point, best]
+    solved &= np.all(overlaps > LABEL_OVERLAP_THRESHOLD, axis=1)
+    for j in np.flatnonzero(~solved):
+        i = points[j]
+        _fill_block(block, sector, rates[:, i], p[i])
+        energies[j], overlaps[j] = _label_matches(block, rows)
+    out = np.full((2, len(p), len(rows)), np.nan)
+    out[0, points], out[1, points] = energies, overlaps
+    return out[0], out[1]
 
 
 _ZZ_LABELS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1))
 _ZZ_SECTORS = (((0, 0, 0), (1, 0, 1)), ((1, 0, 0), (0, 0, 1)))
 
 
-def zz_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS) -> float:
+def zz_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS):
     """ZZ strength w(101) - w(100) - w(001) + w(000) from diagonalization (GHz).
 
     Each parity sector is diagonalized on its own, for its lowest
     eigenpairs first.  A bare label takes the energy of the eigenstate it
     dominates (is the largest component of), with the largest overlap when
-    it dominates several.  Raises LabelingError when any of the four
-    computational states cannot be identified with overlap above 0.5 (near
-    an avoided crossing).
+    it dominates several.  On a float model, raises LabelingError when any
+    of the four computational states cannot be identified with overlap
+    above 0.5 (near an avoided crossing).  On a model of an array of points
+    the result is an array, NaN at such a point and at a NaN point.
     """
-    h = build_hamiltonian(m, levels)
-    matches = {}
+    on_array = type(m.omegac) is np.ndarray
+    # the sector blocks that each point is written into in turn: one zeroed
+    # block per sector for an array, a float model's own blocks otherwise
+    if on_array:
+        levels = _check_levels(levels)
+        blocks = [np.zeros((len(indices),) * 2) for indices, _, _ in _mode_operators(levels)]
+    else:
+        h = build_hamiltonian(m, levels)
+        levels, blocks = h.levels, h.blocks
+    rates, p = _parameters(m)
+    points = np.flatnonzero(np.isfinite(rates).all(axis=0) & np.isfinite(p).all(axis=1))
+    energies, overlaps = {}, {}
     for labels in _ZZ_SECTORS:
-        matches.update(zip(labels, _label_matches(*h.sector(labels))))
+        parity, rows = _label_rows(levels, labels)
+        e, o = _sector_matches(
+            blocks[parity], _mode_operators(levels)[parity], rows, rates, p, points
+        )
+        energies.update(zip(labels, e.T))
+        overlaps.update(zip(labels, o.T))
+    zeta = energies[(1, 0, 1)] - energies[(1, 0, 0)] - energies[(0, 0, 1)] + energies[(0, 0, 0)]
+    if on_array:
+        labeled = np.logical_and.reduce(
+            [overlaps[label] > LABEL_OVERLAP_THRESHOLD for label in _ZZ_LABELS]
+        )
+        return np.where(labeled, zeta, np.nan)
     for label in _ZZ_LABELS:
-        overlap = matches[label][1]
+        overlap = overlaps[label][0]
         if overlap < 0.0:
             raise LabelingError(f"no eigenstate is dominated by bare state {label}")
         if overlap <= LABEL_OVERLAP_THRESHOLD:
@@ -194,8 +278,7 @@ def zz_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS) ->
                 f"bare state {label} is ambiguous (overlap {overlap:.3f} <= "
                 f"{LABEL_OVERLAP_THRESHOLD})"
             )
-    e = {label: energy for label, (energy, _) in matches.items()}
-    return e[(1, 0, 1)] - e[(1, 0, 0)] - e[(0, 0, 1)] + e[(0, 0, 0)]
+    return float(zeta[0])
 
 
 def g_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS) -> float:

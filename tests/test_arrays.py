@@ -1,10 +1,10 @@
 """Array evaluation of the flux-to-model chain against point-by-point floats.
 
-Every library builder, ``g_net`` and ``zz_perturbative`` take a float or a
-1-d array.  On an array, a point where the float call raises ResonanceError
-or FluxDomainError is NaN in every field, any other error is the error of
-the first failing point, and every other point has the bits of the float
-call.
+Every library builder, ``g_net``, ``zz_perturbative`` and ``zz_numeric``
+take a float or a 1-d array.  On an array, a point where the float call
+raises ResonanceError, FluxDomainError or (``zz_numeric``) LabelingError
+is NaN in every field, any other error is the error of the first failing
+point, and every other point has the bits of the float call.
 """
 
 import math
@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import couplerkit as ck
-from couplerkit import cli, effmodel, presets
+from couplerkit import cli, effmodel, numdiag, presets
 from couplerkit.capnet import netlist_to_dict
-from couplerkit.errors import FluxDomainError, NoRootError, ResonanceError
+from couplerkit.errors import FluxDomainError, LabelingError, NoRootError, ResonanceError
 
 MASKED = (ResonanceError, FluxDomainError)
 
@@ -139,6 +139,42 @@ def test_builder_grid_matches_floats(name):
         xs = np.array([x for x in np.linspace(lo, hi, 2001)
                        if not isinstance(pointwise(fn, [x]), Exception)])
         assert_matches_pointwise(fn, xs)
+
+
+# points per device band: 5,200 models over the four device builders
+ZZ_NUMERIC_GRIDS = {(5, 5, 5): 600, (4, 3, 5): 600, (7, 7, 7): 100}
+
+
+@pytest.mark.parametrize("levels", ZZ_NUMERIC_GRIDS)
+@pytest.mark.parametrize("dev", DEVICES, ids=lambda dev: dev.name)
+@pytest.mark.parametrize("resonant", [True, False], ids=["resonant", "detuned"])
+def test_zz_numeric_array_matches_floats(dev, resonant, levels):
+    # the band reaches below the qubits, where states cannot be labeled (the
+    # asymmetric device over (2.5, 4.0), say), and above the coupler's top
+    # frequency, which no flux reaches
+    build = presets.device_flux_builder(dev, resonant)
+    xs = np.linspace(2.0, dev.omegac_max + 0.3, ZZ_NUMERIC_GRIDS[levels])
+    got = numdiag.zz_numeric(build(xs), levels)
+    assert got.shape == xs.shape
+    outcomes = []
+    for x, zeta in zip(xs.tolist(), got.tolist()):
+        try:
+            want = numdiag.zz_numeric(build(x), levels)
+        except (FluxDomainError, LabelingError) as exc:
+            assert math.isnan(zeta), (x, exc)
+            outcomes.append(type(exc))
+            continue
+        assert type(want) is float
+        assert zeta.hex() == want.hex(), x
+        outcomes.append(float)
+    assert {FluxDomainError, LabelingError} <= set(outcomes)
+
+
+def test_zz_numeric_of_no_modeled_point():
+    nan = np.full(3, np.nan)
+    assert np.isnan(numdiag.zz_numeric(ck.SystemModel(*[nan] * 9))).all()
+    empty = np.array([])
+    assert numdiag.zz_numeric(ck.SystemModel(*[empty] * 9)).shape == (0,)
 
 
 def scalar_scan_roots(f, band, points=effmodel.PRESCAN_POINTS):

@@ -115,6 +115,12 @@ class TestNetlistJson:
             cap["a"], cap["b"] = float(cap["a"]), float(cap["b"])
         assert load_netlist(data) == net
 
+    @pytest.mark.parametrize("value, shown", [("3.0", "'3.0'"), (True, "True")])
+    def test_capacitance_must_be_a_number(self, value, shown):
+        with pytest.raises(NetlistError, match=rf"^capacitors\[0\]\.fF must be a number, got {shown}$"):
+            load_netlist({"topology": "floating-floating",
+                          "capacitors": [{"a": 1, "b": 2, "fF": value}]})
+
     def test_capacitance_beyond_float_range(self):
         with pytest.raises(NetlistError, match=r"^capacitors\[0\] needs integer 'a', 'b' "
                                                r"and numeric 'fF': int too large"):

@@ -423,6 +423,16 @@ class TestFit:
         assert out == ""
         assert_input_error(rc, err, text)
 
+    @pytest.mark.parametrize("value", ["-6.0", True])
+    def test_bool_or_string_init_is_an_input_error(self, tmp_path, capsys, value):
+        path, true = self.make_dataset(tmp_path)
+        config = self.fit_config(tmp_path, true)
+        cfg = json.loads(Path(config).read_text())
+        cfg["init"]["g12_mhz"] = value
+        rc, out, err = run(capsys, "fit", path, "--config", write_json(tmp_path, "fit.json", cfg))
+        assert out == ""
+        assert_input_error(rc, err, f"init.g12_mhz must be a number, got {value!r}")
+
     def test_non_finite_init_is_an_input_error(self, tmp_path, capsys):
         data_path, true = self.make_dataset(tmp_path, rows=12)
         cfg = json.loads(open(self.fit_config(tmp_path, true)).read())
@@ -764,7 +774,38 @@ class TestRunConfigErrors:
         path = write_json(tmp_path, "cfg.json", cfg)
         rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
         assert (rc, out) == (2, "")
-        assert err == "error: Josephson energy must be positive, got 0.0\n"
+        assert err == ("input error: squids.coupler at flux.coupler = 0.5 leaves the "
+                       "coupler no positive frequency\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("value", ["4.58", True])
+    @pytest.mark.parametrize("field, cfg", [
+        ("model.omega1", lambda v: model_run(model={**model_block(FLOATING_DESIGN_RATES_SYMMETRIC),
+                                                    "omega1": v})),
+        ("coupler_ec", lambda v: model_run(
+            coupler_squid={"ej_sum": 30.0}, coupler_ec=v,
+            sweep={"quantity": "g", "variable": "coupler-flux", "range": [0.0, 0.4],
+                   "points": 5})),
+        ("squids.coupler.ej_sum", lambda v: netlist_run(squids={
+            **netlist_run()["squids"], "coupler": {"ej_sum": v}})),
+        ("squids.qubit1.asymmetry", lambda v: netlist_run(squids={
+            **netlist_run()["squids"], "qubit1": {"ej_sum": 15.0, "asymmetry": v}})),
+        ("squids.qubit2.ej_small", lambda v: netlist_run(squids={
+            **netlist_run()["squids"], "qubit2": {"ej_large": 15.0, "ej_small": v}})),
+        ("flux.qubit1", lambda v: netlist_run(flux={"qubit1": v})),
+        ("sweep.range", lambda v: model_run(sweep={"quantity": "g", "range": [2.77, v],
+                                                   "points": 5})),
+        ("capacitors[4].fF", lambda v: netlist_run(netlist={
+            **netlist_to_dict(floating_coupler_design(True)),
+            "capacitors": [dict(c, fF=v) if i == 4 else c for i, c in enumerate(
+                netlist_to_dict(floating_coupler_design(True))["capacitors"])]})),
+    ])
+    def test_bool_or_string_is_not_a_number(self, tmp_path, capsys, command, value, field,
+                                            cfg):
+        path = write_json(tmp_path, "cfg.json", cfg(value))
+        rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
+        assert out == ""
+        assert_input_error(rc, err, f"{field} must be a number, got {value!r}")
 
     def test_find_without_range(self, tmp_path, capsys):
         cfg = model_run()

@@ -326,23 +326,27 @@ class TestFindEvaluations:
     def test_numeric_find_counts(self, monkeypatch, device, evaluations, roots):
         from couplerkit import numdiag
 
-        seen = []
+        calls, seen = [], []  # points per call, coupler frequency of each solved point
         zz_numeric = numdiag.zz_numeric
 
         def counting(m, levels):
-            seen.append(m.omegac)
+            omegac = np.atleast_1d(m.omegac)
+            calls.append(omegac.size)
+            seen.extend(omegac[np.isfinite(omegac)].tolist())  # a NaN point is not solved
             return zz_numeric(m, levels)
 
         monkeypatch.setattr(numdiag, "zz_numeric", counting)
         builder = device_flux_builder(device, resonant=False)
         found = find_zero_zz(builder, (4.4, 6.5), backend="numeric")
         assert [r.hex() for r in found] == roots
+        assert calls == [200] + [1] * (len(calls) - 1)  # one prescan call, then floats
         assert len(seen) == evaluations
         assert len(set(seen)) == len(seen)
 
     @pytest.mark.parametrize("device, float_calls, roots", [
         (SYMMETRIC_DEVICE, 0, []),
-        (ASYMMETRIC_DEVICE, 11, ["0x1.1ffca25c8f5c7p+2", "0x1.46ca813af7fc0p+2"]),
+        # the bracket ends come from the prescan, so only Brent's steps are floats
+        (ASYMMETRIC_DEVICE, 7, ["0x1.1ffca25c8f5c7p+2", "0x1.46ca813af7fc0p+2"]),
     ])
     def test_perturbative_find_counts(self, device, float_calls, roots):
         calls = []
