@@ -210,8 +210,8 @@ def _netlist_model(cfg: dict) -> tuple[float, ModelBuilder]:
 
 def _read_levels(text: str | None, raw) -> tuple[int, int, int]:
     """Truncation levels from ``--levels`` text, or else the config's
-    ``levels`` list; every backend needs each in [MIN_LEVELS, MAX_LEVELS]."""
-    if text:
+    ``levels`` list; every backend needs what ``numdiag`` accepts."""
+    if text is not None:
         try:
             raw = [int(n) for n in text.split(",")]
         except ValueError as exc:
@@ -221,10 +221,10 @@ def _read_levels(text: str | None, raw) -> tuple[int, int, int]:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise NetlistError("levels must be three comma-separated integers")
     levels = tuple(capnet.json_integer(f"levels[{i}]", n) for i, n in enumerate(raw))
-    lo, hi = numdiag.MIN_LEVELS, numdiag.MAX_LEVELS
-    if not all(lo <= n <= hi for n in levels):
-        raise NetlistError(f"levels must be three integers in [{lo}, {hi}], got {levels}")
-    return levels
+    try:
+        return numdiag._check_levels(levels)
+    except ValueError as exc:
+        raise NetlistError(str(exc)) from exc
 
 
 def _read_run(
@@ -318,38 +318,20 @@ def cmd_energies(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_row(
-    builder: ModelBuilder, x: float, want_g: bool, want_pert: bool
-) -> dict[str, str]:
-    """Effective-model cells of the sweep row at ``x`` from the float model
-    there.
-
-    A cell is left out where the model, g or the perturbative ZZ is
-    undefined, with a ``warning: x = ...`` line on stderr for each; any
-    other error raises.
-    """
-    cells = {"x_value": _fmt(x)}
+def _sweep_warnings(builder: ModelBuilder, x: float, blank) -> None:
+    """Print the ``warning: x = ...`` lines of a sweep row with blank cells:
+    the error of the builder at ``x``, or else that of each float
+    evaluation in ``blank`` (in column order) on the model there."""
     try:
         m = builder(x)
     except CouplerKitError as exc:
         print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
-        return cells
-    if want_g:
+        return
+    for evaluate in blank:
         try:
-            eff = effmodel.g_net(m)
-            cells["g_eff_mhz"] = _fmt(eff.g_eff * 1e3)
-            cells["g_mhz"] = _fmt(eff.g * 1e3)
-        except ResonanceError as exc:
+            evaluate(m)
+        except (ResonanceError, LabelingError) as exc:
             print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
-    if want_pert:
-        try:
-            zz = effmodel.zz_perturbative(m)
-            cells["zeta2_mhz"] = _fmt(zz.zeta2 * 1e3)
-            cells["zeta34_mhz"] = _fmt(zz.zeta34 * 1e3)
-            cells["zeta_pert_mhz"] = _fmt(zz.zeta_total * 1e3)
-        except ResonanceError as exc:
-            print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
-    return cells
 
 
 def _sweep_rows(
@@ -362,12 +344,10 @@ def _sweep_rows(
     """Header cells and row lines of the sweep CSV.
 
     The model, g and both ZZs are one array evaluation over ``xs``, and
-    each row of finite array values is written with one ``%.9g`` format
-    (the bytes of ``_fmt``).  A row with a non-finite effective-model cell
-    is rebuilt by ``_sweep_row``, which prints its warnings as a per-row
-    evaluation does.  A modeled point whose numeric ZZ is NaN is solved
-    again on its float model, to print the LabelingError as a warning, and
-    leaves that cell blank.
+    every cell is its ``%.9g`` value (the bytes of ``_fmt``), or blank where
+    that value is not finite.  A row of finite values is written with one
+    format; a row with a blank cell prints, through ``_sweep_warnings``, the
+    warnings that a per-row float evaluation prints there.
     """
     want_g = quantity in ("g", "both")
     want_zz = quantity in ("zz", "both")
@@ -377,48 +357,35 @@ def _sweep_rows(
 
     m = builder(xs)
     values = {"x_value": xs}
+    sources = [None]  # the float evaluation behind each column of values
     if want_g:
         eff = effmodel.g_net(m)
         values["g_eff_mhz"], values["g_mhz"] = eff.g_eff * 1e3, eff.g * 1e3
+        sources += [effmodel.g_net] * 2
     if want_pert:
         zz = effmodel.zz_perturbative(m)
         values["zeta2_mhz"] = zz.zeta2 * 1e3
         values["zeta34_mhz"] = zz.zeta34 * 1e3
         values["zeta_pert_mhz"] = zz.zeta_total * 1e3
-    row_format = ",".join("%.9g" if h in values else "" for h in header)
-    table = np.column_stack(list(values.values()))
-    # m.omegac is NaN where the builder could not model the point
-    modeled = np.isfinite(m.omegac)
-    finite = np.isfinite(table).all(axis=1) & modeled
+        sources += [effmodel.zz_perturbative] * 3
     if want_numeric:
         header.append("zeta_numeric_mhz")
-        zetas = (numdiag.zz_numeric(m, levels) * 1e3).tolist()
+        values["zeta_numeric_mhz"] = numdiag.zz_numeric(m, levels) * 1e3
+        sources.append(functools.partial(numdiag.zz_numeric, levels=levels))
+    row_format = ",".join("%.9g" if h in values else "" for h in header)
+    table = np.column_stack(list(values.values()))
+    finite = np.isfinite(table)
     lines = []
-    for i, (x, ok, row) in enumerate(zip(xs.tolist(), finite.tolist(), table.tolist())):
+    for i, (ok, row) in enumerate(zip(finite.all(axis=1).tolist(), table.tolist())):
         if ok:
-            line = row_format % tuple(row)
-        else:
-            cells = _sweep_row(builder, x, want_g, want_pert)
-            line = ",".join(cells.get(h, "") for h in header[:6])
-        if want_numeric:
-            line += "," + (_numeric_cell(builder, x, zetas[i], levels) if modeled[i] else "")
-        lines.append(line)
+            lines.append(row_format % tuple(row))
+            continue
+        row_ok = finite[i].tolist()
+        cells = {h: _fmt(v) for h, v, f in zip(values, row, row_ok) if f}
+        lines.append(",".join(cells.get(h, "") for h in header))
+        blank = dict.fromkeys(s for s, f in zip(sources, row_ok) if not f)
+        _sweep_warnings(builder, row[0], blank)
     return header, lines
-
-
-def _numeric_cell(
-    builder: ModelBuilder, x: float, zeta_mhz: float, levels: tuple[int, int, int]
-) -> str:
-    """The numeric ZZ cell of a modeled point.  A NaN solves the float model
-    again to print its LabelingError as a ``warning: x = ...`` line, and
-    leaves the cell blank."""
-    if zeta_mhz == zeta_mhz:  # not NaN
-        return _fmt(zeta_mhz)
-    try:
-        return _fmt(numdiag.zz_numeric(builder(x), levels) * 1e3)
-    except LabelingError as exc:
-        print(f"warning: x = {_fmt(x)}: {exc}", file=sys.stderr)
-        return ""
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

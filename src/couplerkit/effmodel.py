@@ -20,6 +20,7 @@ import numpy as np
 from numpy import ndarray
 from scipy.optimize import brentq
 
+from . import numdiag
 from .errors import (
     FluxDomainError,
     LabelingError,
@@ -301,7 +302,7 @@ def find_zero_zz(
     builder: ModelBuilder,
     band: Sequence[float],
     backend: str = "perturbative",
-    levels: tuple[int, int, int] = (5, 5, 5),
+    levels: tuple[int, int, int] = numdiag.DEFAULT_LEVELS,
     prescan_points: int = PRESCAN_POINTS,
 ) -> list[float]:
     """All coupler frequencies in ``band`` where the ZZ interaction vanishes.
@@ -323,15 +324,13 @@ def find_zero_zz(
         prescan = zeta
 
     elif backend == "numeric":
-        from .numdiag import zz_numeric
-
         def zeta(wc):
-            return zz_numeric(builder(wc), levels)
+            return numdiag.zz_numeric(builder(wc), levels)
 
         def prescan(xs: ndarray) -> ndarray:
             nonlocal unlabeled
             m = builder(xs)
-            ys = zz_numeric(m, levels)
+            ys = numdiag.zz_numeric(m, levels)
             # m.omegac is NaN where the builder could not model the point
             unlabeled = np.count_nonzero(np.isfinite(m.omegac) & np.isnan(ys))
             return ys

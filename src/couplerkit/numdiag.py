@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd, dsyevr
+from scipy.linalg.lapack import dsyevr
 
 from .errors import LabelingError
 from .transmon import SystemModel
@@ -48,14 +48,6 @@ class TruncatedHamiltonian:
         for (sector, _, _), block in zip(_mode_operators(self.levels), self.blocks):
             h[np.ix_(sector, sector)] = block
         return h
-
-    def sector(
-        self, labels: tuple[tuple[int, int, int], ...]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The block holding ``labels`` (all of one total-excitation parity)
-        and the rows of the labels in it."""
-        parity, rows = _label_rows(self.levels, labels)
-        return self.blocks[parity], rows
 
 
 def _label_rows(
@@ -158,13 +150,13 @@ def build_hamiltonian(
 _WINDOW_MARGIN = 1
 
 
-def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of a sector block, from the LAPACK build that runs
-    ``dsyevr`` (numpy's ``eigh`` links a second one, with its own threads)."""
-    energies, vectors, info = dsyevd(block)
+def _lowest(block: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest ``count`` eigenpairs of a sector block, from LAPACK
+    ``dsyevr`` (numpy's ``eigh`` links a second LAPACK, with its own threads)."""
+    energies, vectors, _, _, info = dsyevr(block, range="I", il=1, iu=count)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevd failed with info = {info}")
-    return energies, vectors
+        raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
+    return energies[:count], vectors
 
 
 def _label_matches(block: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +164,7 @@ def _label_matches(block: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.
     eigenpairs of ``block``: the one each label dominates (is the largest
     component of) with the largest overlap, or an overlap of -1 when it
     dominates none."""
-    energies, vectors = _eigh(block)
+    energies, vectors = _lowest(block, len(block))
     amplitudes = vectors**2
     dominant = np.argmax(amplitudes, axis=0)
     overlaps = np.where(dominant == rows[:, None], amplitudes[rows], -1.0)
@@ -201,14 +193,11 @@ def _sector_matches(
     """
     n = len(block)
     windows = []  # each point's window energies and squared label amplitudes
-    solved = np.zeros(len(points), dtype=bool)
-    for j, i in enumerate(points):
+    for i in points:
         diagonal = _fill_block(block, sector, rates[:, i], p[i])
         rank = np.count_nonzero(diagonal <= diagonal[rows].max())
-        count = min(n, rank + _WINDOW_MARGIN)
-        energies, vectors, _, _, info = dsyevr(block, range="I", il=1, iu=count)
-        windows.append((energies[:count], vectors[rows] ** 2))
-        solved[j] = info == 0
+        energies, vectors = _lowest(block, min(n, rank + _WINDOW_MARGIN))
+        windows.append((energies, vectors[rows] ** 2))
     width = max((len(e) for e, _ in windows), default=1)
     energies = np.zeros((len(points), width))
     weights = np.zeros((len(points), len(rows), width))
@@ -219,7 +208,7 @@ def _sector_matches(
     point = np.arange(len(points))[:, None]
     overlaps = weights[point, np.arange(len(rows)), best]
     energies = energies[point, best]
-    solved &= np.all(overlaps > LABEL_OVERLAP_THRESHOLD, axis=1)
+    solved = np.all(overlaps > LABEL_OVERLAP_THRESHOLD, axis=1)
     for j in np.flatnonzero(~solved):
         i = points[j]
         _fill_block(block, sector, rates[:, i], p[i])
@@ -294,10 +283,10 @@ def g_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS) -> 
             f"g_numeric needs resonant qubits, got omega1 = {m.omega1}, "
             f"omega2 = {m.omega2}"
         )
-    block, (r100, r001, r010) = build_hamiltonian(m, levels).sector(
-        ((1, 0, 0), (0, 0, 1), (0, 1, 0))
-    )
-    energies, vectors = _eigh(block)
+    h = build_hamiltonian(m, levels)
+    _, (r100, r001, r010) = _label_rows(h.levels, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+    block = h.blocks[1]
+    energies, vectors = _lowest(block, len(block))
     amplitudes = vectors**2
     q_weight = amplitudes[r100] + amplitudes[r001]
     c_weight = amplitudes[r010]

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import couplerkit as ck
 from couplerkit import cli, effmodel, numdiag
@@ -686,6 +686,13 @@ class TestRunConfigErrors:
         assert out == ""
         assert_input_error(rc, err, "levels must be three integers in [2, 12], got (1, 5, 5)")
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_empty_levels_option_is_an_input_error(self, tmp_path, capsys, command):
+        path = write_json(tmp_path, "cfg.json", model_run(backend="numeric"))
+        rc, out, err = run(capsys, command[0], "--config", path, *command[1:], "--levels", "")
+        assert out == ""
+        assert_input_error(rc, err, "levels must be three comma-separated integers: ")
+
     @pytest.mark.parametrize("points", [10.9, True, "10", None])
     def test_sweep_points_must_be_an_integer(self, tmp_path, capsys, points):
         path = write_json(tmp_path, "cfg.json", model_run(
@@ -1270,6 +1277,14 @@ def sweep_configs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=sweep_configs())
+# the only blank cells are numeric: at x = 4.25 and 4.5 the coupler hybridizes
+# with the qubits; at omega1 = omega2 the perturbative cells would be blank too
+@example(case=({
+    "schema": 1,
+    "model": model_block(FLOATING_DESIGN_RATES_SYMMETRIC, omegac=5.0, omega1=4.3, omega2=4.305),
+    "sweep": {"variable": "coupler-frequency", "range": [3.5, 6.0], "points": 11,
+              "quantity": "zz"},
+}, ["--backend", "both", "--levels", "3,3,3"]))
 def test_sweep_matches_per_row_reference(tmp_path_factory, case):
     """The array sweep prints what one float evaluation per row prints:
     the same CSV, the same warnings and the same exit code."""

@@ -321,8 +321,14 @@ def test_full_solve_fallback_matches_reference(monkeypatch, device):
     points; every outcome still matches the dense reference."""
     monkeypatch.setattr(numdiag, "_WINDOW_MARGIN", 0)
     full_solves = []
-    eigh = numdiag._eigh
-    monkeypatch.setattr(numdiag, "_eigh", lambda a: full_solves.append(1) or eigh(a))
+    lowest = numdiag._lowest
+
+    def counted(block, count):
+        if count == len(block):
+            full_solves.append(1)
+        return lowest(block, count)
+
+    monkeypatch.setattr(numdiag, "_lowest", counted)
     builder = device_flux_builder(device, resonant=False)
     levels = (5, 5, 5)
     fallback_answers = 0

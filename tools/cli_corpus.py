@@ -1,6 +1,7 @@
 """Compare the CLI's exit codes, stdout and stderr between two source checkouts.
 
     python3 tools/cli_corpus.py CHECKOUT_A CHECKOUT_B
+    python3 tools/cli_corpus.py --write-digests tests/cli_digests.json
 
 Each checkout runs the same fixed corpus of ``couplerkit`` commands in one
 subprocess of its own, with its ``src`` and ``perfbench`` on the import path;
@@ -21,6 +22,14 @@ an exception that escapes ``main`` stands in for its exit code.
 The script prints every command whose exit code, stdout or stderr differs,
 then the number of commands and differences by command, and exits 1 when
 any command differs.
+
+``--write-digests FILE`` runs a fixed subset of the corpus with the checkout
+that holds this script and writes, for each command, the exit code and the
+sha256 of stdout and of stderr, next to the machine fields (numeric cells
+depend on the LAPACK build).  The subset: every malformed config, the first
+numeric-zz sweep of seed 1 (5,5,5 levels, ``--backend both``) and every
+command of design-scan seeds 1-3.  ``tests/test_cli_digests.py`` checks the
+committed file; a change to the CLI's output regenerates it.
 """
 
 from __future__ import annotations
@@ -37,8 +46,10 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 DESIGN_SEEDS = range(1, 101)
 NUMERIC_SEEDS = range(1, 7)
+DIGEST_DESIGN_SEEDS = range(1, 4)
 SHOWN_CHARS = 600  # of a differing stderr or stdout
 
 
@@ -111,9 +122,9 @@ def malformed_configs() -> list[dict]:
     ]
 
 
-def corpus():
-    """(label, folder, argv) of every command; argv names a file in the folder,
-    which is removed once its commands have run."""
+def corpus(digests: bool = False):
+    """(label, folder, argv) of every command, or of the digest subset; argv
+    names a file in the folder, which is removed once its commands have run."""
     import workloads
 
     malformed = workloads._InputFiles(0, "cli-corpus")
@@ -125,16 +136,20 @@ def corpus():
     finally:
         malformed.remove()
 
-    for seed in NUMERIC_SEEDS:
+    for seed in NUMERIC_SEEDS[:1] if digests else NUMERIC_SEEDS:
         work = workloads.NumericZZ(seed)
         try:
             for (design, levels, _), path in zip(work.sweeps, work.configs):
                 opts = ["--backend", "both", "--levels", ",".join(map(str, levels))]
-                yield from _runs(f"numeric-zz/{seed}/{design.key}", work.files, path, opts)
+                runs = _runs(f"numeric-zz/{seed}/{design.key}", work.files, path, opts)
+                if digests:  # the sweep of the first config only, at 5,5,5
+                    yield next(runs)
+                    break
+                yield from runs
         finally:
             work.files.remove()
 
-    for seed in DESIGN_SEEDS:
+    for seed in DIGEST_DESIGN_SEEDS if digests else DESIGN_SEEDS:
         work = workloads.DesignScan(seed)
         try:
             for design, *_, path in work.items:
@@ -151,12 +166,12 @@ def _runs(label, files, path, opts):
         yield f"{label} find-{target}", files, ["find", "--config", name, "--target", target, *opts]
 
 
-def worker(root: Path) -> None:
+def worker(root: Path, digests: bool) -> None:
     """Run the corpus with this process's ``couplerkit``; one JSON line each."""
     from couplerkit import cli
 
     start = os.getcwd()
-    for label, files, argv in corpus():
+    for label, files, argv in corpus(digests):
         os.chdir(files.dir)
         out, err = io.StringIO(), io.StringIO()
         try:
@@ -171,16 +186,17 @@ def worker(root: Path) -> None:
         print(json.dumps({
             "label": label, "code": code,
             "stdout": stdout if len(stdout) <= SHOWN_CHARS else None,
-            "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
+            "stdout_sha256": _sha256(stdout),
             "stderr": err.getvalue().replace(str(root), "<root>"),
         }), flush=True)
 
 
-def run_checkout(checkout: Path) -> dict[str, dict]:
+def run_checkout(checkout: Path, digests: bool = False) -> dict[str, dict]:
     root = checkout.resolve()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--worker", str(root)],
+        [sys.executable, str(Path(__file__).resolve()), "--worker", str(root),
+         *(["--digests"] if digests else [])],
         cwd=root, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -188,6 +204,31 @@ def run_checkout(checkout: Path) -> dict[str, dict]:
                          f"{proc.stderr[-2000:]}")
     results = [json.loads(line) for line in proc.stdout.splitlines()]
     return {r["label"]: r for r in results}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def machine() -> dict:
+    """The fields that the numeric cells' bytes may depend on."""
+    import platform
+
+    import numpy
+    import scipy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine()}
+
+
+def digests() -> dict[str, dict]:
+    """Exit code and stdout and stderr sha256 of each digest command, run
+    with the checkout that holds this script."""
+    return {
+        label: {"code": r["code"], "stdout_sha256": r["stdout_sha256"],
+                "stderr_sha256": _sha256(r["stderr"])}
+        for label, r in run_checkout(ROOT, digests=True).items()
+    }
 
 
 def _shown(text: str | None) -> str:
@@ -199,12 +240,22 @@ def _shown(text: str | None) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--worker"]:  # the subprocess of one checkout
-        worker(Path(argv[1]))
+        worker(Path(argv[1]), argv[2:] == ["--digests"])
         return 0
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("a", type=Path, help="first checkout (the parent, say)")
-    p.add_argument("b", type=Path, help="second checkout")
+    p.add_argument("a", type=Path, nargs="?", help="first checkout (the parent, say)")
+    p.add_argument("b", type=Path, nargs="?", help="second checkout")
+    p.add_argument("--write-digests", type=Path, metavar="FILE",
+                   help="write the digest subset's digests of this checkout to FILE")
     args = p.parse_args(argv)
+    if args.write_digests:
+        commands = digests()
+        args.write_digests.write_text(json.dumps(
+            {"machine": machine(), "commands": commands}, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(commands)} digests to {args.write_digests}")
+        return 0
+    if args.b is None:
+        p.error("compare needs two checkouts")
     a, b = run_checkout(args.a), run_checkout(args.b)
     runs, differ = Counter(), Counter()
     for label, ra in a.items():
