@@ -76,10 +76,18 @@ def _check_floor(name: str, value: float) -> None:
         raise ResonanceError(name, value, RESONANCE_FLOOR)
 
 
-def _blank_poles(denominators: tuple, values: tuple) -> list[ndarray]:
+def _blank_poles(denominators: tuple, values: tuple) -> Sequence[ndarray]:
     """``values`` with NaN at every point where a denominator is below
-    RESONANCE_FLOOR in magnitude: the array form of ``_check_floor``."""
-    poles = np.logical_or.reduce([abs(d) < RESONANCE_FLOOR for d in denominators])
+    RESONANCE_FLOOR in magnitude: the array form of ``_check_floor``.
+
+    ``values`` are returned themselves when no point is a pole, so they must
+    be arrays the caller owns.
+    """
+    poles = abs(denominators[0]) < RESONANCE_FLOOR
+    for d in denominators[1:]:
+        poles |= abs(d) < RESONANCE_FLOOR
+    if not poles.any():
+        return values
     return [np.where(poles, np.nan, v) for v in values]
 
 
@@ -193,37 +201,51 @@ def zz_perturbative(m: SystemModel) -> ZZBreakdown:
 ModelBuilder = Callable[[float | ndarray], SystemModel]
 
 
+# why an effective prescan value is NaN
+_POLE_OR_DOMAIN = "hit a resonance pole or fell outside the flux domain"
+
+
 def _scan(
     f: Callable[[ndarray], ndarray], band: Sequence[float], points: int
 ) -> tuple[ndarray, ndarray]:
-    """``points`` equally spaced values in ``band`` and ``f`` of them, NaN at
-    poles and outside the flux domain; warns when every value is NaN."""
+    """``points`` equally spaced values in ``band`` and ``f`` of them."""
     lo, hi = band
     if not lo < hi:
         raise ValueError(f"band must satisfy lo < hi, got ({lo}, {hi})")
+    if not points >= 2:
+        raise ValueError(f"prescan_points must be at least 2, got {points}")
     xs = np.linspace(lo, hi, points)
-    ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    return xs, np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+
+
+def _warn_if_blank(band: Sequence[float], ys: ndarray, causes: str) -> None:
+    """Warn the finder's caller when every prescan value is NaN, naming
+    ``causes``, the reasons a value can be NaN."""
     if np.isnan(ys).all():
         warnings.warn(
-            f"every prescan point in [{lo:.6g}, {hi:.6g}] hit a resonance pole "
-            f"or fell outside the flux domain",
+            f"every prescan point in [{band[0]:.6g}, {band[1]:.6g}] {causes}",
             stacklevel=3,
         )
-    return xs, ys
 
 
 def _memoized(
     f: Callable[[float], float], xs: ndarray, ys: ndarray
 ) -> Callable[[float], float]:
-    """``f`` evaluated at most once per exact argument, starting from its
-    finite prescan values ``ys = f(xs)``; errors are not kept."""
-    finite = np.isfinite(ys)
-    values = dict(zip(xs[finite].tolist(), ys[finite].tolist()))
+    """``f`` evaluated at most once per exact argument, taking the finite
+    prescan values ``ys = f(xs)`` (``xs`` ascending) for its grid points;
+    errors are not kept."""
+    values = {}
 
     def once(x: float) -> float:
-        if x not in values:
-            values[x] = f(x)
-        return values[x]
+        if x in values:
+            return values[x]
+        i = xs.searchsorted(x)
+        if i < xs.size and xs[i] == x and np.isfinite(ys[i]):
+            y = float(ys[i])
+        else:
+            y = f(x)
+        values[x] = y
+        return y
 
     return once
 
@@ -283,6 +305,7 @@ def find_zero_g(
         return g_net(builder(wc)).g
 
     xs, ys = _scan(f, band, prescan_points)
+    _warn_if_blank(band, ys, _POLE_OR_DOMAIN)
     roots = _refine_brackets(_memoized(f, xs, ys), xs, ys)
     if not roots:
         finite = np.where(np.isfinite(ys))[0]
@@ -316,6 +339,7 @@ def find_zero_zz(
     one LabelingWarning with the number of prescan points skipped so.
     """
     unlabeled = 0  # prescan points with a model but no labeled dressed states
+    causes = _POLE_OR_DOMAIN
     if backend == "perturbative":
 
         def zeta(wc):
@@ -328,17 +352,26 @@ def find_zero_zz(
             return numdiag.zz_numeric(builder(wc), levels)
 
         def prescan(xs: ndarray) -> ndarray:
-            nonlocal unlabeled
+            nonlocal unlabeled, causes
             m = builder(xs)
             ys = numdiag.zz_numeric(m, levels)
-            # m.omegac is NaN where the builder could not model the point
-            unlabeled = np.count_nonzero(np.isfinite(m.omegac) & np.isnan(ys))
+            # m.omegac is NaN where the builder could not model the point; the
+            # numeric backend has no resonance floor
+            modeled = np.isfinite(m.omegac)
+            unlabeled = np.count_nonzero(modeled & np.isnan(ys))
+            causes = " or ".join(
+                cause for cause, seen in (
+                    ("fell outside the flux domain", not modeled.all()),
+                    ("could not be labeled", unlabeled),
+                ) if seen
+            )
             return ys
 
     else:
         raise ValueError(f"backend must be 'perturbative' or 'numeric', got {backend!r}")
 
     xs, ys = _scan(prescan, band, prescan_points)
+    _warn_if_blank(band, ys, causes)
     if unlabeled:
         warnings.warn(
             f"{unlabeled} of {prescan_points} prescan points in "

@@ -101,19 +101,23 @@ class SystemModel:
     def _check_points(self) -> None:
         """The rest of ``__post_init__``: name the first non-positive field of a
         float model, or normalize and check a model of points."""
-        names = [f.name for f in fields(self)]
-        values = [getattr(self, name) for name in names]
+        values = [getattr(self, name) for name in _FIELDS]
         if ndarray not in map(type, values):
-            name = next(n for n in names if not getattr(self, n) > 0)
+            name = next(n for n in _FIELDS if not getattr(self, n) > 0)
             raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        values = np.array(np.broadcast_arrays(*values), dtype=float)
-        values[:, np.isnan(values).any(axis=0)] = np.nan
-        for name, column in zip(names, values):
+        table = np.empty((len(values), *np.broadcast(*values).shape))
+        for i, value in enumerate(values):
+            table[i] = value
+        nan = np.isnan(table).any(axis=0)
+        if nan.any():
+            table[:, nan] = np.nan
+        for name, column in zip(_FIELDS, table):
             object.__setattr__(self, name, column)
-        bad = np.argwhere(values[:6].T <= 0)  # (point, field); NaN is not <= 0
-        if bad.size:
-            point, field = bad[0]
-            raise ValueError(f"{names[field]} must be positive, got {values[field, point]}")
+        positive = table[:6].reshape(6, -1)  # (field, point), also for 0-d fields
+        bad = positive.T <= 0  # (point, field); NaN is not <= 0
+        if bad.any():
+            point, field = np.argwhere(bad)[0]
+            raise ValueError(f"{_FIELDS[field]} must be positive, got {positive[field, point]}")
 
     def swapped_qubits(self) -> "SystemModel":
         """The same system with the qubit labels exchanged."""
@@ -126,6 +130,9 @@ class SystemModel:
             g1c=self.g2c,
             g2c=self.g1c,
         )
+
+
+_FIELDS = tuple(f.name for f in fields(SystemModel))
 
 
 def _ej_error(e_j: float) -> FluxDomainError:
@@ -298,11 +305,11 @@ def tune_coupler(base: SystemModel, e_c: float, ej_max: float, ej: float) -> Sys
     """
     if not ej_max > 0:
         raise ValueError(f"ej_max must be positive, got {ej_max}")
-    omegac = _coupler_frequency(e_c, ej)
     if type(ej) is ndarray:
         ej, sqrt = _masked_ej(e_c, ej), np.sqrt
     else:
         sqrt = math.sqrt
+    omegac = _coupler_frequency(e_c, ej)
     scale = sqrt(sqrt(ej / ej_max))
     return SystemModel(
         omega1=base.omega1, omega2=base.omega2, omegac=omegac,

@@ -315,9 +315,26 @@ class TestUnlabeledPoints:
         assert _refine_brackets(f, xs, ys) == [pytest.approx(1.5, abs=ROOT_TOLERANCE)]
 
 
+def recording(builder, floats):
+    """``builder`` that appends each float argument to ``floats``."""
+
+    def build(x):
+        if np.ndim(x) == 0:
+            floats.append(x)
+        return builder(x)
+
+    return build
+
+
+def off_grid(floats, band):
+    """No float lies on the 200-point prescan grid of ``band``: the prescan
+    values answer the bracket ends."""
+    return not set(np.linspace(*band, 200).tolist()).intersection(floats)
+
+
 class TestFindEvaluations:
     """Each find evaluates the prescan as one array call and then refines each
-    bracket with floats, evaluating no point twice."""
+    bracket with floats, evaluating no point twice and no prescan point again."""
 
     @pytest.mark.parametrize("device, evaluations, roots", [
         (SYMMETRIC_DEVICE, 156, []),  # the points above 6.041 GHz are unreachable
@@ -336,12 +353,14 @@ class TestFindEvaluations:
             return zz_numeric(m, levels)
 
         monkeypatch.setattr(numdiag, "zz_numeric", counting)
-        builder = device_flux_builder(device, resonant=False)
+        floats = []
+        builder = recording(device_flux_builder(device, resonant=False), floats)
         found = find_zero_zz(builder, (4.4, 6.5), backend="numeric")
         assert [r.hex() for r in found] == roots
         assert calls == [200] + [1] * (len(calls) - 1)  # one prescan call, then floats
         assert len(seen) == evaluations
         assert len(set(seen)) == len(seen)
+        assert off_grid(floats, (4.4, 6.5))
 
     @pytest.mark.parametrize("device, float_calls, roots", [
         (SYMMETRIC_DEVICE, 0, []),
@@ -356,8 +375,43 @@ class TestFindEvaluations:
             calls.append(np.size(x))
             return builder(x)
 
-        assert [r.hex() for r in find_zero_zz(counting, (4.4, 6.5))] == roots
+        floats = []
+        assert [r.hex() for r in find_zero_zz(recording(counting, floats), (4.4, 6.5))] == roots
         assert calls == [200] + [1] * float_calls
+        assert off_grid(floats, (4.4, 6.5))
+
+    @pytest.mark.parametrize("device, band, float_calls, root", [
+        (SYMMETRIC_DEVICE, (2.5, 3.8), 3, "0x1.83bfc0299a83cp+1"),
+        (ASYMMETRIC_DEVICE, (4.4, 6.5), 2, "0x1.5914d77c5f91dp+2"),
+    ])
+    def test_find_zero_g_counts(self, device, band, float_calls, root):
+        calls = []
+        builder = device_flux_builder(device, resonant=False)
+
+        def counting(x):
+            calls.append(np.size(x))
+            return builder(x)
+
+        floats = []
+        assert find_zero_g(recording(counting, floats), band).hex() == root
+        assert calls == [200] + [1] * float_calls
+        assert len(set(floats)) == len(floats)
+        assert off_grid(floats, band)
+
+
+class TestPrescanPoints:
+    @pytest.mark.parametrize("points", [0, 1])
+    @pytest.mark.parametrize("find, backend", [
+        (find_zero_g, {}),
+        (find_zero_zz, {"backend": "perturbative"}),
+        (find_zero_zz, {"backend": "numeric"}),
+    ])
+    def test_fewer_than_two_points_rejected(self, find, backend, points):
+        builder = device_flux_builder(ASYMMETRIC_DEVICE, resonant=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^prescan_points must be at least 2, got {points}$"):
+                find(builder, (4.4, 6.4), prescan_points=points, **backend)
 
 
 class TestMaskedPrescan:
@@ -372,6 +426,25 @@ class TestMaskedPrescan:
         with pytest.warns(UserWarning, match="resonance pole or fell outside the flux domain"):
             with pytest.raises(NoRootError):
                 find_zero_g(builder, (4.5795, 4.5805))
+
+    @pytest.mark.parametrize("band, causes", [
+        ((4.2, 6.0), "could not be labeled"),
+        ((6.1, 7.0), "fell outside the flux domain"),
+        ((5.9, 7.0), "fell outside the flux domain or could not be labeled"),
+    ])
+    def test_numeric_warning_names_only_causes_seen(self, band, causes):
+        # the numeric backend has no resonance floor, and at resonant qubits
+        # 4,4,4 levels label no point of the symmetric device; its coupler
+        # reaches at most 6.041 GHz
+        builder = device_flux_builder(SYMMETRIC_DEVICE, resonant=True)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            found = find_zero_zz(builder, band, backend="numeric", levels=(4, 4, 4),
+                                 prescan_points=40)
+        assert found == []
+        lo, hi = (f"{x:.6g}" for x in band)
+        assert str(seen[0].message) == f"every prescan point in [{lo}, {hi}] {causes}"
+        assert all("resonance pole" not in str(w.message) for w in seen)
 
     def test_some_poles_do_not_warn(self):
         builder = frequency_sweep_builder(design_model(FLOATING_DESIGN_RATES_SYMMETRIC))

@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from couplerkit import (
     FluxDomainError,
@@ -280,6 +280,83 @@ class TestSystemModel:
         phi = np.array([0.0, self.NEAR_HALF_FLUX]) if array else self.NEAR_HALF_FLUX
         with pytest.raises(ValueError, match="^omega1 must be positive"):
             system_model(self.ENERGIES, *three_transmons(), phi_e1=phi)
+
+
+FIELD_NAMES = [f.name for f in fields(SystemModel)]
+FIELD_VALUES = st.one_of(
+    st.floats(0.01, 10.0),
+    st.sampled_from([math.nan, 0.0, -0.0, -1.5]),
+)
+
+
+@st.composite
+def field_inputs(draw):
+    """Nine SystemModel fields, each a Python float or int, an np.float64, a
+    0-d array or a 1-d array (float or int) of a shared, broadcastable or
+    mismatched length; at least one field is an array."""
+    length = draw(st.integers(0, 4))
+    values = []
+    for _ in FIELD_NAMES:
+        kind = draw(st.sampled_from(["float", "int", "float64", "0-d", "1-d", "1-d int"]))
+        if kind == "int":
+            values.append(draw(st.integers(-1, 5)))
+        elif kind.startswith("1-d"):
+            n = draw(st.sampled_from([length, length, length, 1, length + 1]))
+            column = draw(st.lists(FIELD_VALUES, min_size=n, max_size=n))
+            if kind == "1-d int":
+                column = [int(v) if math.isfinite(v) else 2 for v in column]
+            values.append(np.array(column, dtype=float if kind == "1-d" else int))
+        else:
+            value = draw(FIELD_VALUES)
+            values.append({"float": float, "float64": np.float64, "0-d": np.array}[kind](value))
+    if not any(type(v) is np.ndarray for v in values):
+        values[2] = np.array(values[2], dtype=float)
+    return values
+
+
+def broadcast_model_fields(values):
+    """The normalization of an array SystemModel as it was first written:
+    ``np.broadcast_arrays`` of the fields, NaN at every point with a NaN
+    field, and a ValueError naming the first non-positive field of the first
+    such point.  Raises numpy's ValueError when the shapes do not broadcast."""
+    table = np.array(np.broadcast_arrays(*values), dtype=float)
+    table[:, np.isnan(table).any(axis=0)] = np.nan
+    columns = table.reshape(len(values), -1)
+    for point in range(columns.shape[1]):
+        for field in range(6):
+            if columns[field, point] <= 0:
+                raise ValueError(
+                    f"{FIELD_NAMES[field]} must be positive, got {columns[field, point]}"
+                )
+    return list(table)
+
+
+@settings(max_examples=400, deadline=None)
+@given(field_inputs())
+# a non-positive 0-d field used to fail unpacking its (point, field) pair
+@example([1.0, 1.0, np.array(1.0), 1.0, 1.0, 0, 1.0, 1.0, 1.0])
+@example([np.array([4.0, math.nan, 4.0]), 4.6, np.array([6.0, 6.0, -1.0]), *[0.2] * 6])
+@example([np.ones(2), *[1.0] * 7, np.ones(3)])
+def test_array_model_matches_broadcast_normalization(values):
+    try:
+        np.broadcast_shapes(*map(np.shape, values))
+    except ValueError:
+        with pytest.raises(ValueError):
+            SystemModel(*values)
+        return
+    try:
+        want = broadcast_model_fields(values)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            SystemModel(*values)
+        assert str(err.value) == str(exc)
+        return
+    m = SystemModel(*values)
+    for name, column in zip(FIELD_NAMES, want):
+        got = getattr(m, name)
+        assert type(got) is type(column), name
+        assert np.shape(got) == np.shape(column), name
+        assert np.asarray(got).tobytes() == np.asarray(column).tobytes(), name
 
 
 class TestTuneCoupler:
