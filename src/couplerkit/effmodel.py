@@ -71,22 +71,25 @@ class DressedFrequencies:
     omega02_2: float
 
 
-def _check_floor(name: str, value: float) -> None:
-    if abs(value) < RESONANCE_FLOOR:
-        raise ResonanceError(name, value, RESONANCE_FLOOR)
-
-
-def _blank_poles(denominators: tuple, values: tuple) -> Sequence[ndarray]:
-    """``values`` with NaN at every point where a denominator is below
-    RESONANCE_FLOOR in magnitude: the array form of ``_check_floor``.
-
-    ``values`` are returned themselves when no point is a pole, so they must
-    be arrays the caller owns.
+def _floor(denominators: dict, values: tuple) -> Sequence:
+    """``values`` after the resonance floor: the one out-of-domain rule of
+    this module.  On floats, a ResonanceError names the first of the named
+    ``denominators`` below RESONANCE_FLOOR in magnitude.  On arrays, every
+    point where one is below is NaN in each of ``values``, which are returned
+    themselves when no point is a pole, so they must be arrays the caller
+    owns.
     """
-    poles = abs(denominators[0]) < RESONANCE_FLOOR
-    for d in denominators[1:]:
-        poles |= abs(d) < RESONANCE_FLOOR
-    if not poles.any():
+    poles = None
+    for name, value in denominators.items():
+        below = abs(value) < RESONANCE_FLOOR
+        if type(value) is not ndarray:
+            if below:
+                raise ResonanceError(name, value, RESONANCE_FLOOR)
+        elif poles is None:
+            poles = below
+        else:
+            poles |= below
+    if poles is None or not poles.any():
         return values
     return [np.where(poles, np.nan, v) for v in values]
 
@@ -99,11 +102,7 @@ def g_net(m: SystemModel) -> EffectiveCoupling:
     """
     d1, d2 = m.omegac - m.omega1, m.omegac - m.omega2
     s1, s2 = m.omegac + m.omega1, m.omegac + m.omega2
-    if type(d1) is ndarray:
-        d1, d2, s1, s2 = _blank_poles((d1, d2), (d1, d2, s1, s2))
-    else:
-        _check_floor("Delta_1", d1)
-        _check_floor("Delta_2", d2)
+    d1, d2, s1, s2 = _floor({"Delta_1": d1, "Delta_2": d2}, (d1, d2, s1, s2))
     g_eff = 0.5 * m.g1c * m.g2c * (1.0 / d1 + 1.0 / s1 + 1.0 / d2 + 1.0 / s2)
     return EffectiveCoupling(
         g=m.g12 - g_eff, g_eff=g_eff, delta1=d1, delta2=d2, sigma1=s1, sigma2=s2
@@ -129,10 +128,12 @@ def dressed_frequencies(m: SystemModel) -> DressedFrequencies:
     ):
         d = m.omegac - w
         s = m.omegac + w
-        _check_floor(f"Delta_{tag}", d)
-        _check_floor(f"Delta_{tag} + eta_{tag}", d + eta)
-        _check_floor(f"Sigma_{tag} - eta_{tag}", s - eta)
-        _check_floor(f"Sigma_{tag} - 2 eta_{tag}", s - 2 * eta)
+        _floor({
+            f"Delta_{tag}": d,
+            f"Delta_{tag} + eta_{tag}": d + eta,
+            f"Sigma_{tag} - eta_{tag}": s - eta,
+            f"Sigma_{tag} - 2 eta_{tag}": s - 2 * eta,
+        }, ())
         ratio = abs(g / d)
         if ratio >= DISPERSIVE_MAX_RATIO:
             raise ResonanceError(f"|g_{tag}c/Delta_{tag}|", ratio, DISPERSIVE_MAX_RATIO)
@@ -165,18 +166,14 @@ def zz_perturbative(m: SystemModel) -> ZZBreakdown:
     """
     d12 = m.omega1 - m.omega2
     d1, d2 = m.omegac - m.omega1, m.omegac - m.omega2
-    if type(d12) is ndarray:
-        d12, d1, d2 = _blank_poles(
-            (d12, d12 - m.eta1, d12 + m.eta2, d1, d2, d1 + d2 + m.etac),
-            (d12, d1, d2),
-        )
-    else:
-        _check_floor("Delta_12", d12)
-        _check_floor("Delta_12 - eta_1", d12 - m.eta1)
-        _check_floor("Delta_12 + eta_2", d12 + m.eta2)
-        _check_floor("Delta_1", d1)
-        _check_floor("Delta_2", d2)
-        _check_floor("Delta_1 + Delta_2 + eta_c", d1 + d2 + m.etac)
+    d12, d1, d2 = _floor({
+        "Delta_12": d12,
+        "Delta_12 - eta_1": d12 - m.eta1,
+        "Delta_12 + eta_2": d12 + m.eta2,
+        "Delta_1": d1,
+        "Delta_2": d2,
+        "Delta_1 + Delta_2 + eta_c": d1 + d2 + m.etac,
+    }, (d12, d1, d2))
 
     zeta2 = -2.0 * (m.g12 * m.g12) * (m.eta1 + m.eta2) / ((d12 - m.eta1) * (d12 + m.eta2))
 
@@ -205,17 +202,20 @@ ModelBuilder = Callable[[float | ndarray], SystemModel]
 _POLE_OR_DOMAIN = "hit a resonance pole or fell outside the flux domain"
 
 
-def _scan(
-    f: Callable[[ndarray], ndarray], band: Sequence[float], points: int
-) -> tuple[ndarray, ndarray]:
-    """``points`` equally spaced values in ``band`` and ``f`` of them."""
+def _scan(band: Sequence[float], points: int) -> ndarray:
+    """``points`` equally spaced values in ``band``: the prescan grid."""
     lo, hi = band
     if not lo < hi:
         raise ValueError(f"band must satisfy lo < hi, got ({lo}, {hi})")
     if not points >= 2:
         raise ValueError(f"prescan_points must be at least 2, got {points}")
-    xs = np.linspace(lo, hi, points)
-    return xs, np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    return np.linspace(lo, hi, points)
+
+
+def _on_grid(values, xs: ndarray) -> ndarray:
+    """Prescan values as floats of the grid's shape, also from a builder
+    whose model does not depend on the swept variable."""
+    return np.broadcast_to(np.asarray(values, dtype=float), xs.shape)
 
 
 def _warn_if_blank(band: Sequence[float], ys: ndarray, causes: str) -> None:
@@ -304,7 +304,8 @@ def find_zero_g(
     def f(wc):
         return g_net(builder(wc)).g
 
-    xs, ys = _scan(f, band, prescan_points)
+    xs = _scan(band, prescan_points)
+    ys = _on_grid(f(xs), xs)
     _warn_if_blank(band, ys, _POLE_OR_DOMAIN)
     roots = _refine_brackets(_memoized(f, xs, ys), xs, ys)
     if not roots:
@@ -338,39 +339,33 @@ def find_zero_zz(
     dressed states it cannot label (LabelingError) like a pole, and issues
     one LabelingWarning with the number of prescan points skipped so.
     """
-    unlabeled = 0  # prescan points with a model but no labeled dressed states
-    causes = _POLE_OR_DOMAIN
+    if backend not in ("perturbative", "numeric"):
+        raise ValueError(f"backend must be 'perturbative' or 'numeric', got {backend!r}")
+    xs = _scan(band, prescan_points)
     if backend == "perturbative":
 
         def zeta(wc):
             return zz_perturbative(builder(wc)).zeta_total
 
-        prescan = zeta
+        ys, unlabeled, causes = zeta(xs), 0, _POLE_OR_DOMAIN
+    else:
 
-    elif backend == "numeric":
         def zeta(wc):
             return numdiag.zz_numeric(builder(wc), levels)
 
-        def prescan(xs: ndarray) -> ndarray:
-            nonlocal unlabeled, causes
-            m = builder(xs)
-            ys = numdiag.zz_numeric(m, levels)
-            # m.omegac is NaN where the builder could not model the point; the
-            # numeric backend has no resonance floor
-            modeled = np.isfinite(m.omegac)
-            unlabeled = np.count_nonzero(modeled & np.isnan(ys))
-            causes = " or ".join(
-                cause for cause, seen in (
-                    ("fell outside the flux domain", not modeled.all()),
-                    ("could not be labeled", unlabeled),
-                ) if seen
-            )
-            return ys
-
-    else:
-        raise ValueError(f"backend must be 'perturbative' or 'numeric', got {backend!r}")
-
-    xs, ys = _scan(prescan, band, prescan_points)
+        m = builder(xs)
+        ys = numdiag.zz_numeric(m, levels)
+        # m.omegac is NaN where the builder could not model the point; the
+        # numeric backend has no resonance floor
+        modeled = np.isfinite(m.omegac)
+        unlabeled = np.count_nonzero(modeled & np.isnan(ys))
+        causes = " or ".join(
+            cause for cause, seen in (
+                ("fell outside the flux domain", not modeled.all()),
+                ("could not be labeled", unlabeled),
+            ) if seen
+        )
+    ys = _on_grid(ys, xs)
     _warn_if_blank(band, ys, causes)
     if unlabeled:
         warnings.warn(

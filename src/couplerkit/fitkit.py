@@ -46,7 +46,8 @@ class GFluxDataset:
 
     ``phi`` is the reduced flux in radians; ``sign`` holds +-1 where the sign
     of g is known and 0 for magnitude-only rows.  Qubit frequencies are known
-    inputs per row (the resonance condition during the measurement).
+    inputs per row (the resonance condition during the measurement) and must
+    be positive.
     """
 
     phi: np.ndarray
@@ -75,6 +76,9 @@ class GFluxDataset:
             raise ValueError("flux values must be distinct")
         if not np.all(np.isin(self.sign, (-1.0, 0.0, 1.0))):
             raise ValueError("sign entries must be -1, 0 or +1")
+        for name in ("omega1_ghz", "omega2_ghz"):
+            if not np.all(getattr(self, name) > 0):
+                raise ValueError(f"{name} values must be positive")
 
     def __len__(self) -> int:
         return len(self.phi)

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from numpy import ndarray
-
 from .capnet import CapNetwork, Topology, energies_exact
 from .effmodel import ModelBuilder
-from .squid import SquidParams, flux_for_ej
+from .squid import SquidParams, _reachable
 from .transmon import (
     SystemModel,
     anharmonicity_from_energies,
@@ -174,10 +171,7 @@ def device_flux_builder(device: ReferenceDevice, resonant: bool = True) -> Model
     )
 
     def build(omegac) -> SystemModel:
-        ej = ej_for_frequency(e_c, omegac)
-        phi = flux_for_ej(squid, ej)  # domain check: frequency must be reachable
-        if type(phi) is ndarray:
-            ej = np.where(np.isnan(phi), np.nan, ej)
+        ej = _reachable(squid, ej_for_frequency(e_c, omegac))
         return tune_coupler(base, e_c, ej_max, ej)
 
     return build

@@ -81,6 +81,21 @@ def phi0_of_flux(p: SquidParams, phi_e: float) -> float:
     return -math.atan2(d * math.sin(half), math.cos(half))
 
 
+def _reachable(p: SquidParams, ej):
+    """``ej`` where the SQUID reaches it, in [EJL - EJS, EJL + EJS]: the one
+    out-of-domain rule of this module.  Outside that range a float raises
+    FluxDomainError and an array entry is NaN."""
+    lo, hi = p.ej_large - p.ej_small, p.ej_sum
+    if type(ej) is ndarray:
+        return np.where((lo <= ej) & (ej <= hi), ej, np.nan)
+    if not (lo <= ej <= hi):
+        raise FluxDomainError(
+            f"target energy {ej:.6g} GHz outside the SQUID range "
+            f"[{lo:.6g}, {hi:.6g}] GHz"
+        )
+    return ej
+
+
 def flux_for_ej(p: SquidParams, ej):
     """Reduced flux phi_e in [0, pi] at which the SQUID energy equals ej.
 
@@ -88,19 +103,10 @@ def flux_for_ej(p: SquidParams, ej):
     outside [EJL - EJS, EJL + EJS].  On a 1-d array of energies, entries
     outside that range give NaN instead.
     """
-    lo, hi = p.ej_large - p.ej_small, p.ej_sum
-    if type(ej) is ndarray:
-        cos_phi = (ej**2 - p.ej_large**2 - p.ej_small**2) / (
-            2.0 * p.ej_large * p.ej_small
-        )
-        phi = np.arccos(np.clip(cos_phi, -1.0, 1.0))
-        return np.where((lo <= ej) & (ej <= hi), phi, np.nan)
-    if not (lo <= ej <= hi):
-        raise FluxDomainError(
-            f"target energy {ej:.6g} GHz outside the SQUID range "
-            f"[{lo:.6g}, {hi:.6g}] GHz"
-        )
+    ej = _reachable(p, ej)
     cos_phi = (ej**2 - p.ej_large**2 - p.ej_small**2) / (
         2.0 * p.ej_large * p.ej_small
     )
+    if type(ej) is ndarray:
+        return np.arccos(np.clip(cos_phi, -1.0, 1.0))
     return math.acos(min(1.0, max(-1.0, cos_phi)))

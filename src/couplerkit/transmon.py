@@ -12,7 +12,9 @@ is not positive, and ``system_model`` and ``tune_coupler`` also where the
 coupler frequency is not (a coupler SQUID tuned close to Phi0/2).  On an
 array every entry is computed with the same operations, so it has the bits
 of the float call, and an entry where the float call would raise
-FluxDomainError is NaN instead; any other error still raises.
+FluxDomainError is NaN instead; any other error still raises.  Each rule is
+written once: ``_checked_ej`` holds the Josephson-energy rule and
+``_coupler`` the coupler-frequency rule.
 """
 
 from __future__ import annotations
@@ -135,55 +137,57 @@ class SystemModel:
 _FIELDS = tuple(f.name for f in fields(SystemModel))
 
 
-def _ej_error(e_j: float) -> FluxDomainError:
-    return FluxDomainError(f"Josephson energy must be positive, got {e_j}")
+def _checked_ej(e_c: float, e_j):
+    """``e_j`` inside the transmon domain, and the ``sqrt`` to use on it.
 
-
-def _coupler_frequency(e_c: float, e_j):
-    """``frequency_from_energies`` of the coupler, with NaN where it is not
-    positive on an array and FluxDomainError there on a float."""
-    omegac = frequency_from_energies(e_c, e_j)
-    if type(omegac) is ndarray:
-        return np.where(omegac > 0, omegac, np.nan)
-    if not omegac > 0:
-        raise FluxDomainError(f"coupler frequency must be positive, got {omegac} GHz")
-    return omegac
-
-
-def _masked_ej(e_c: float, e_j: ndarray) -> ndarray:
-    """``e_j`` with NaN where the float path raises FluxDomainError.
-
-    A negative ``e_c`` raises the ValueError that ``math.sqrt`` raises on the
-    float path, unless no entry gets that far.
+    The one out-of-domain rule of this module: a float ``e_j`` that is not
+    positive raises FluxDomainError, and the float path takes ``math.sqrt``.
+    An array ``e_j`` is NaN there and takes ``np.sqrt``; a negative ``e_c``
+    then raises the ValueError that ``math.sqrt`` raises on the float path,
+    unless no entry gets that far.
     """
+    if type(e_j) is not ndarray:
+        if e_j <= 0:
+            raise FluxDomainError(f"Josephson energy must be positive, got {e_j}")
+        return e_j, math.sqrt
     positive = e_j > 0
     if e_c < 0 and positive.any():
         raise ValueError("math domain error")
-    return np.where(positive, e_j, np.nan)
+    return np.where(positive, e_j, np.nan), np.sqrt
 
 
-def frequency_from_energies(e_c: float, e_j):
-    """01 transition frequency: sqrt(8 EJ EC) - EC (1 + xi/4), xi = sqrt(2 EC/EJ)."""
-    if type(e_j) is ndarray:
-        e_j, sqrt = _masked_ej(e_c, e_j), np.sqrt
-    elif e_j <= 0:
-        raise _ej_error(e_j)
-    else:
-        sqrt = math.sqrt
+def _frequency(e_c: float, e_j, sqrt):
     xi = sqrt(2.0 * e_c / e_j)
     return sqrt(8.0 * e_j * e_c) - e_c * (1.0 + xi / 4.0)
 
 
-def anharmonicity_from_energies(e_c: float, e_j):
-    """Anharmonicity magnitude EC (1 + 9 xi/16)."""
-    if type(e_j) is ndarray:
-        e_j, sqrt = _masked_ej(e_c, e_j), np.sqrt
-    elif e_j <= 0:
-        raise _ej_error(e_j)
-    else:
-        sqrt = math.sqrt
+def _anharmonicity(e_c: float, e_j, sqrt):
     xi = sqrt(2.0 * e_c / e_j)
     return e_c * (1.0 + 9.0 * xi / 16.0)
+
+
+def _coupler(e_c: float, e_j, sqrt):
+    """Frequency and anharmonicity of a coupler at an ``e_j`` from
+    ``_checked_ej``.  The frequency must be positive too: FluxDomainError on
+    a float, NaN on an array."""
+    omegac = _frequency(e_c, e_j, sqrt)
+    if type(omegac) is ndarray:
+        omegac = np.where(omegac > 0, omegac, np.nan)
+    elif not omegac > 0:
+        raise FluxDomainError(f"coupler frequency must be positive, got {omegac} GHz")
+    return omegac, _anharmonicity(e_c, e_j, sqrt)
+
+
+def frequency_from_energies(e_c: float, e_j):
+    """01 transition frequency: sqrt(8 EJ EC) - EC (1 + xi/4), xi = sqrt(2 EC/EJ)."""
+    e_j, sqrt = _checked_ej(e_c, e_j)
+    return _frequency(e_c, e_j, sqrt)
+
+
+def anharmonicity_from_energies(e_c: float, e_j):
+    """Anharmonicity magnitude EC (1 + 9 xi/16)."""
+    e_j, sqrt = _checked_ej(e_c, e_j)
+    return _anharmonicity(e_c, e_j, sqrt)
 
 
 def ej_for_frequency(e_c: float, omega):
@@ -210,14 +214,6 @@ def ej_for_frequency(e_c: float, omega):
     return root * root / (32.0 * e_c)
 
 
-def _squid_energies(q1, q2, c, phi_e1, phi_e2, phi_ec):
-    """The three SQUID energies; arrays of one length once any flux is an array."""
-    ejs = (ej_of_flux(q1.squid, phi_e1), ej_of_flux(q2.squid, phi_e2), ej_of_flux(c.squid, phi_ec))
-    if type(ejs[0]) is ndarray or type(ejs[1]) is ndarray or type(ejs[2]) is ndarray:
-        return np.broadcast_arrays(*ejs)
-    return ejs
-
-
 def coupling_rates(
     e: ModeEnergies,
     q1: TransmonParams,
@@ -232,30 +228,19 @@ def coupling_rates(
     g_jk = (E_jk / sqrt(2)) (EJj/ECj * EJk/ECk)^(1/4) [1 - (xi_j + xi_k)/8],
     xi = sqrt(2 EC/EJ); signs are inherited from the energies.
     """
-    return _coupling_rates_at(e, q1, q2, c, *_squid_energies(q1, q2, c, phi_e1, phi_e2, phi_ec))
+    return _modes(e, q1, q2, c, phi_e1, phi_e2, phi_ec)[1]
 
 
-def _coupling_rates_at(
-    e: ModeEnergies,
-    q1: TransmonParams,
-    q2: TransmonParams,
-    c: TransmonParams,
-    ej1: float,
-    ej2: float,
-    ejc: float,
-) -> tuple[float, float, float]:
-    """``coupling_rates`` at given Josephson energies of the three modes
-    (three floats, or three arrays of one length)."""
-    if type(ejc) is ndarray:
-        ej1, ej2, ejc = (
-            _masked_ej(q1.e_c, ej1), _masked_ej(q2.e_c, ej2), _masked_ej(c.e_c, ejc)
-        )
-        sqrt = np.sqrt
-    else:
-        for ej in (ej1, ej2, ejc):
-            if ej <= 0:
-                raise _ej_error(ej)
-        sqrt = math.sqrt
+def _modes(e: ModeEnergies, q1, q2, c, phi_e1, phi_e2, phi_ec) -> tuple[tuple, tuple]:
+    """The three modes' Josephson energies at their fluxes, each through
+    ``_checked_ej``, with the ``sqrt`` to use on them, and the coupling rates
+    (g1c, g2c, g12) there; arrays of one length once any flux is an array."""
+    ejs = (ej_of_flux(q1.squid, phi_e1), ej_of_flux(q2.squid, phi_e2), ej_of_flux(c.squid, phi_ec))
+    if ndarray in map(type, ejs):
+        ejs = np.broadcast_arrays(*ejs)
+    (ej1, sqrt), (ej2, _), (ejc, _) = (
+        _checked_ej(mode.e_c, ej) for mode, ej in zip((q1, q2, c), ejs)
+    )
     r1, r2, rc = ej1 / q1.e_c, ej2 / q2.e_c, ejc / c.e_c
 
     def rate(e_jk: float, ra: float, rb: float, eca: float, eja: float,
@@ -263,10 +248,11 @@ def _coupling_rates_at(
         xa, xb = sqrt(2.0 * eca / eja), sqrt(2.0 * ecb / ejb)
         return e_jk / math.sqrt(2.0) * sqrt(sqrt(ra * rb)) * (1.0 - (xa + xb) / 8.0)
 
-    g1c = rate(e.e1c, r1, rc, q1.e_c, ej1, c.e_c, ejc)
-    g2c = rate(e.e2c, r2, rc, q2.e_c, ej2, c.e_c, ejc)
-    g12 = rate(e.e12, r1, r2, q1.e_c, ej1, q2.e_c, ej2)
-    return g1c, g2c, g12
+    return (ej1, ej2, ejc, sqrt), (
+        rate(e.e1c, r1, rc, q1.e_c, ej1, c.e_c, ejc),
+        rate(e.e2c, r2, rc, q2.e_c, ej2, c.e_c, ejc),
+        rate(e.e12, r1, r2, q1.e_c, ej1, q2.e_c, ej2),
+    )
 
 
 def system_model(
@@ -279,15 +265,15 @@ def system_model(
     phi_ec: float = 0.0,
 ) -> SystemModel:
     """Assemble the full three-mode model at the given flux biases."""
-    ej1, ej2, ejc = _squid_energies(q1, q2, c, phi_e1, phi_e2, phi_ec)
-    g1c, g2c, g12 = _coupling_rates_at(e, q1, q2, c, ej1, ej2, ejc)
+    (ej1, ej2, ejc, sqrt), (g1c, g2c, g12) = _modes(e, q1, q2, c, phi_e1, phi_e2, phi_ec)
+    omegac, etac = _coupler(c.e_c, ejc, sqrt)
     return SystemModel(
-        omega1=frequency_from_energies(q1.e_c, ej1),
-        omega2=frequency_from_energies(q2.e_c, ej2),
-        omegac=_coupler_frequency(c.e_c, ejc),
-        eta1=anharmonicity_from_energies(q1.e_c, ej1),
-        eta2=anharmonicity_from_energies(q2.e_c, ej2),
-        etac=anharmonicity_from_energies(c.e_c, ejc),
+        omega1=_frequency(q1.e_c, ej1, sqrt),
+        omega2=_frequency(q2.e_c, ej2, sqrt),
+        omegac=omegac,
+        eta1=_anharmonicity(q1.e_c, ej1, sqrt),
+        eta2=_anharmonicity(q2.e_c, ej2, sqrt),
+        etac=etac,
         g1c=g1c,
         g2c=g2c,
         g12=g12,
@@ -305,14 +291,11 @@ def tune_coupler(base: SystemModel, e_c: float, ej_max: float, ej: float) -> Sys
     """
     if not ej_max > 0:
         raise ValueError(f"ej_max must be positive, got {ej_max}")
-    if type(ej) is ndarray:
-        ej, sqrt = _masked_ej(e_c, ej), np.sqrt
-    else:
-        sqrt = math.sqrt
-    omegac = _coupler_frequency(e_c, ej)
+    ej, sqrt = _checked_ej(e_c, ej)
+    omegac, etac = _coupler(e_c, ej, sqrt)
     scale = sqrt(sqrt(ej / ej_max))
     return SystemModel(
         omega1=base.omega1, omega2=base.omega2, omegac=omegac,
-        eta1=base.eta1, eta2=base.eta2, etac=anharmonicity_from_energies(e_c, ej),
+        eta1=base.eta1, eta2=base.eta2, etac=etac,
         g1c=base.g1c * scale, g2c=base.g2c * scale, g12=base.g12,
     )

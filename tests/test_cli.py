@@ -406,6 +406,21 @@ class TestFit:
         rc, _, err = run(capsys, "fit", str(data_path), "--config", cfg)
         assert_input_error(rc, err, "dataset: need at least 6 rows, got 3")
 
+    @pytest.mark.parametrize("column", [3, 4])
+    @pytest.mark.parametrize("value", ["-3.4", "0.0"])
+    def test_non_positive_qubit_frequency_is_an_input_error(self, tmp_path, capsys,
+                                                            column, value):
+        data_path, true = self.make_dataset(tmp_path, rows=6)
+        lines = Path(data_path).read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[column] = value
+        lines[1] = ",".join(cells)
+        Path(data_path).write_text("\n".join(lines) + "\n")
+        rc, out, err = run(capsys, "fit", data_path, "--config", self.fit_config(tmp_path, true))
+        name = ("omega1_ghz", "omega2_ghz")[column - 3]
+        assert out == ""
+        assert_input_error(rc, err, f"dataset: {name} values must be positive")
+
     @pytest.mark.parametrize("free, text", [
         (5, "free must be a non-empty list of parameter names, got 5"),
         ("g12_mhz", "free must be a non-empty list of parameter names, got 'g12_mhz'"),

@@ -59,6 +59,14 @@ class TestDataset:
                 omega2_ghz=np.full(6, 4.0),
             )
 
+    @pytest.mark.parametrize("name", ["omega1_ghz", "omega2_ghz"])
+    @pytest.mark.parametrize("value", [-3.4, 0.0])
+    def test_qubit_frequencies_must_be_positive(self, name, value):
+        omegas = {"omega1_ghz": np.full(6, 3.4), "omega2_ghz": np.full(6, 3.4)}
+        omegas[name][2] = value
+        with pytest.raises(ValueError, match=f"^{name} values must be positive$"):
+            GFluxDataset(phi=np.arange(6.0), g_mhz=np.ones(6), sign=np.zeros(6), **omegas)
+
     def test_csv_round_trip(self):
         data = true_dataset()
         again = GFluxDataset.from_csv(data.to_csv())

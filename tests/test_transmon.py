@@ -282,6 +282,68 @@ class TestSystemModel:
             system_model(self.ENERGIES, *three_transmons(), phi_e1=phi)
 
 
+class TestNegativeChargingEnergy:
+    """A negative e_c is a ValueError on both paths: ``math.sqrt`` raises it on
+    a float, and an array raises it once an entry gets that far."""
+
+    BASE = SystemModel(
+        omega1=4.58, omega2=4.64, omegac=6.0, eta1=0.23, eta2=0.233,
+        etac=0.19, g1c=-0.085, g2c=0.098, g12=-5.8e-3,
+    )
+    CALLS = {
+        "frequency": frequency_from_energies,
+        "anharmonicity": anharmonicity_from_energies,
+        "tune_coupler": lambda e_c, ej: tune_coupler(TestNegativeChargingEnergy.BASE, e_c, 28.0, ej),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_float_and_array_raise_alike(self, call):
+        f = self.CALLS[call]
+        with pytest.raises(ValueError, match="^math domain error$"):
+            f(-0.2, 18.0)
+        with pytest.raises(ValueError, match="^math domain error$"):
+            f(-0.2, np.array([0.0, 18.0]))
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_no_positive_energy_is_outside_the_flux_domain(self, call):
+        f = self.CALLS[call]
+        with pytest.raises(FluxDomainError, match="^Josephson energy must be positive, got 0.0$"):
+            f(-0.2, 0.0)
+        value = f(-0.2, np.array([0.0, -1.0]))
+        values = [getattr(value, n) for n in FIELD_NAMES] if call == "tune_coupler" else [value]
+        assert np.isnan(values).all()
+
+
+class TestDomainHelperCalls:
+    """Each mode's Josephson energy goes through ``transmon._checked_ej`` once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from couplerkit import transmon
+
+        seen = []
+        checked_ej = transmon._checked_ej
+
+        def counting(e_c, e_j):
+            seen.append(e_c)
+            return checked_ej(e_c, e_j)
+
+        monkeypatch.setattr(transmon, "_checked_ej", counting)
+        return seen
+
+    def test_array_system_model(self, calls):
+        e = ModeEnergies(ec1=0.184, ec2=0.184, ecc=0.175, e12=-0.0012,
+                         e1c=-0.0132, e2c=0.0132)
+        m = system_model(e, *three_transmons(), phi_ec=np.linspace(0.0, 0.4, 5))
+        assert m.omegac.shape == (5,)
+        assert calls == [0.184, 0.184, 0.175]
+
+    def test_array_tune_coupler(self, calls):
+        m = tune_coupler(TestNegativeChargingEnergy.BASE, 0.175, 28.0, np.linspace(5.0, 28.0, 5))
+        assert m.omegac.shape == (5,)
+        assert calls == [0.175]
+
+
 FIELD_NAMES = [f.name for f in fields(SystemModel)]
 FIELD_VALUES = st.one_of(
     st.floats(0.01, 10.0),

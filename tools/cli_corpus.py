@@ -11,6 +11,9 @@ every command is an in-process ``cli.main`` call.  The corpus:
 - the ``--backend both`` sweep of every numeric-zz input of seeds 1-6;
 - ``find --target g`` and ``find --target zz`` on each of those configs,
   with the same backend options;
+- ``fit`` on every seeded fit case of those seeds of both workloads, its
+  dataset written as a CSV and its initial guess and free parameters as a
+  fit config;
 - malformed run configs, each run with ``sweep`` and ``find --target g``.
 
 The inputs are built with the checkout's ``perfbench/workloads.py`` and
@@ -28,8 +31,8 @@ that holds this script and writes, for each command, the exit code and the
 sha256 of stdout and of stderr, next to the machine fields (numeric cells
 depend on the LAPACK build).  The subset: every malformed config, the first
 numeric-zz sweep of seed 1 (5,5,5 levels, ``--backend both``) and every
-command of design-scan seeds 1-3.  ``tests/test_cli_digests.py`` checks the
-committed file; a change to the CLI's output regenerates it.
+command of design-scan seeds 1-3 but ``fit``.  ``tests/test_cli_digests.py``
+checks the committed file; a change to the CLI's output regenerates it.
 """
 
 from __future__ import annotations
@@ -146,15 +149,20 @@ def corpus(digests: bool = False):
                     yield next(runs)
                     break
                 yield from runs
+            if not digests:
+                for fit in work.fits:
+                    yield _fit_run(f"numeric-zz/{seed}/{fit.key}", work.files, fit)
         finally:
             work.files.remove()
 
     for seed in DIGEST_DESIGN_SEEDS if digests else DESIGN_SEEDS:
         work = workloads.DesignScan(seed)
         try:
-            for design, *_, path in work.items:
-                opts = ["--backend", "effective"]
-                yield from _runs(f"design-scan/{seed}/{design.key}", work.files, path, opts)
+            for design, _, _, fit, _, path in work.items:
+                label = f"design-scan/{seed}/{design.key}"
+                yield from _runs(label, work.files, path, ["--backend", "effective"])
+                if not digests:
+                    yield _fit_run(label, work.files, fit)
         finally:
             work.files.remove()
 
@@ -164,6 +172,19 @@ def _runs(label, files, path, opts):
     yield f"{label} sweep", files, ["sweep", "--config", name, *opts]
     for target in ("g", "zz"):
         yield f"{label} find-{target}", files, ["find", "--config", name, "--target", target, *opts]
+
+
+def _fit_run(label, files, fit):
+    """The ``fit`` command of a seeded fit case, with its dataset written as
+    a CSV and its initial guess and free parameters as a fit config."""
+    from couplerkit.fitkit import FIT_PARAMETER_NAMES
+
+    data = Path(files.write_text(f"{fit.key}-data.csv", fit.data.to_csv())).name
+    config = Path(files.write_json(f"{fit.key}-fit.json", {
+        "schema": 1, "free": list(fit.free),
+        "init": {name: getattr(fit.init, name) for name in FIT_PARAMETER_NAMES},
+    })).name
+    return f"{label} fit", files, ["fit", data, "--config", config]
 
 
 def worker(root: Path, digests: bool) -> None:
