@@ -4,10 +4,11 @@ Detuning conventions: Delta_j = omega_c - omega_j and Sigma_j =
 omega_c + omega_j for the coupler-mediated exchange; Delta_12 =
 omega_1 - omega_2 for the ZZ expansion.
 
-``g_net`` and ``zz_perturbative`` take a model of one point or of an array of
-points.  On an array a point whose denominator is below the resonance floor
-is NaN in every field of the result, where a float model raises
-ResonanceError.
+``g_net``, ``zz_perturbative`` and ``dressed_frequencies`` take a model of one
+point or of an array of points.  On an array a point where a float model
+raises ResonanceError, at a denominator below the resonance floor or (for
+``dressed_frequencies``) beyond the dispersive limit, is NaN in every field
+of the result.
 """
 
 from __future__ import annotations
@@ -119,41 +120,54 @@ def dressed_frequencies(m: SystemModel) -> DressedFrequencies:
 
     with D = wc - w, S = wc + w.  Both reduce to the familiar -g^2/D - g^2/S
     shifts as eta -> 0 and match exact two-mode diagonalization to
-    O(g^4/D^3).
+    O(g^4/D^3).  A float model raises ResonanceError at a denominator below
+    RESONANCE_FLOOR or at |g_jc/Delta_j| >= DISPERSIVE_MAX_RATIO, and warns
+    above DISPERSIVE_WARN_RATIO.  On an array such a failing point is NaN in
+    every field, and one warning names the largest ratio above the guideline
+    among the other points.
     """
-    out = {}
+    values, ratios = [], {}
     for tag, w, eta, g in (
         ("1", m.omega1, m.eta1, m.g1c),
         ("2", m.omega2, m.eta2, m.g2c),
     ):
         d = m.omegac - w
         s = m.omegac + w
-        _floor({
+        d, s = _floor({
             f"Delta_{tag}": d,
             f"Delta_{tag} + eta_{tag}": d + eta,
             f"Sigma_{tag} - eta_{tag}": s - eta,
             f"Sigma_{tag} - 2 eta_{tag}": s - 2 * eta,
-        }, ())
-        ratio = abs(g / d)
-        if ratio >= DISPERSIVE_MAX_RATIO:
-            raise ResonanceError(f"|g_{tag}c/Delta_{tag}|", ratio, DISPERSIVE_MAX_RATIO)
-        if ratio > DISPERSIVE_WARN_RATIO:
-            warnings.warn(
-                f"|g_{tag}c/Delta_{tag}| = {ratio:.3f} exceeds the dispersive "
-                f"guideline {DISPERSIVE_WARN_RATIO}",
-                stacklevel=2,
-            )
+        }, (d, s))
+        name = f"|g_{tag}c/Delta_{tag}|"
+        ratio = ratios[name] = abs(g / d)
+        if type(ratio) is not ndarray:
+            if ratio >= DISPERSIVE_MAX_RATIO:
+                raise ResonanceError(name, ratio, DISPERSIVE_MAX_RATIO)
+            _warn_dispersive(name, ratio)
         g2 = g * g
-        out["01_" + tag] = w - g2 / d - 2.0 * g2 / (s - eta) + g2 / s
-        out["02_" + tag] = (
-            2.0 * w - 2.0 * g2 / (d + eta) - 3.0 * g2 / (s - 2.0 * eta) + g2 / s
+        values.append(w - g2 / d - 2.0 * g2 / (s - eta) + g2 / s)
+        values.append(2.0 * w - 2.0 * g2 / (d + eta) - 3.0 * g2 / (s - 2.0 * eta) + g2 / s)
+    if any(type(r) is ndarray for r in ratios.values()):
+        # NaN where either qubit is at a pole or at the dispersive limit
+        kept = np.logical_and(*(r < DISPERSIVE_MAX_RATIO for r in ratios.values()))
+        values = [np.where(kept, v, np.nan) for v in values]
+        worst = {name: np.where(kept, r, 0.0).max(initial=0.0) for name, r in ratios.items()}
+        name = max(worst, key=worst.get)
+        _warn_dispersive(name, worst[name])
+    # values holds each qubit's 01 and 02 frequencies in turn
+    return DressedFrequencies(*values[::2], *values[1::2])
+
+
+def _warn_dispersive(name: str, ratio: float) -> None:
+    """Warn the caller of ``dressed_frequencies`` when the coupling ratio
+    ``name`` exceeds the dispersive guideline."""
+    if ratio > DISPERSIVE_WARN_RATIO:
+        warnings.warn(
+            f"{name} = {ratio:.3f} exceeds the dispersive guideline "
+            f"{DISPERSIVE_WARN_RATIO}",
+            stacklevel=3,
         )
-    return DressedFrequencies(
-        omega01_1=out["01_1"],
-        omega01_2=out["01_2"],
-        omega02_1=out["02_1"],
-        omega02_2=out["02_2"],
-    )
 
 
 def zz_perturbative(m: SystemModel) -> ZZBreakdown:
@@ -179,15 +193,14 @@ def zz_perturbative(m: SystemModel) -> ZZBreakdown:
 
     gg = m.g1c * m.g2c
     gg2 = gg * gg
-    inv = 1.0 / d1 + 1.0 / d2
+    r1, r2, r12 = 1.0 / d1, 1.0 / d2, 1.0 / d12
+    a1, a2 = 2.0 / (-d12 + m.eta1), 2.0 / (d12 + m.eta2)
+    inv = r1 + r2
     zeta34 = (
-        -2.0 * m.g12 * gg * (
-            (1.0 / d2) * (1.0 / d12 + 2.0 / (-d12 + m.eta1))
-            + (1.0 / d1) * (2.0 / (d12 + m.eta2) - 1.0 / d12)
-        )
+        -2.0 * m.g12 * gg * (r2 * (r12 + a1) + r1 * (a2 - r12))
         - 2.0 * gg2 / (d1 + d2 + m.etac) * (inv * inv)
-        + gg2 / (d1 * d1) * (2.0 / (d12 + m.eta2) - 1.0 / d12 + 1.0 / d2)
-        + gg2 / (d2 * d2) * (2.0 / (-d12 + m.eta1) + 1.0 / d12 + 1.0 / d1)
+        + gg2 / (d1 * d1) * (a2 - r12 + r2)
+        + gg2 / (d2 * d2) * (a1 + r12 + r1)
     )
     return ZZBreakdown(zeta2=zeta2, zeta34=zeta34, delta12=d12)
 
@@ -228,28 +241,6 @@ def _warn_if_blank(band: Sequence[float], ys: ndarray, causes: str) -> None:
         )
 
 
-def _memoized(
-    f: Callable[[float], float], xs: ndarray, ys: ndarray
-) -> Callable[[float], float]:
-    """``f`` evaluated at most once per exact argument, taking the finite
-    prescan values ``ys = f(xs)`` (``xs`` ascending) for its grid points;
-    errors are not kept."""
-    values = {}
-
-    def once(x: float) -> float:
-        if x in values:
-            return values[x]
-        i = xs.searchsorted(x)
-        if i < xs.size and xs[i] == x and np.isfinite(ys[i]):
-            y = float(ys[i])
-        else:
-            y = f(x)
-        values[x] = y
-        return y
-
-    return once
-
-
 def _refine_brackets(
     f: Callable[[float], float], xs: np.ndarray, ys: np.ndarray
 ) -> list[float]:
@@ -259,9 +250,10 @@ def _refine_brackets(
     finite and either the left value exactly zero or both values nonzero
     with opposite signs; Python then runs once per candidate.  A grid point
     exactly on zero counts once, unless the curve is identically zero around
-    it.  Brent refines each sign change to ROOT_TOLERANCE on floats, and a
-    bracket that converges onto a pole, or raises at one or at a point whose
-    states cannot be labeled, is discarded.
+    it.  Brent refines each sign change to ROOT_TOLERANCE on floats, starting
+    from the bracket's prescan values and evaluating ``f`` at no point twice
+    (errors are not kept), and a bracket that converges onto a pole, or
+    raises at one or at a point whose states cannot be labeled, is discarded.
     """
     # a trailing 0.0 makes the last grid point the left end of one more
     # interval, so a zero there follows the same rule as any other
@@ -271,14 +263,22 @@ def _refine_brackets(
     on_zero = (ya == 0.0) & ((np.isfinite(prev) & (prev != 0.0)) | (yb != 0.0))
     crossing = (ya != 0.0) & (yb != 0.0) & (np.sign(ya) != np.sign(yb))
     candidates = np.isfinite(ya) & np.isfinite(yb) & (on_zero | crossing)
+    values = {}  # f at each bracket end and each of Brent's points
+
+    def once(x: float) -> float:
+        if x not in values:
+            values[x] = f(x)
+        return values[x]
+
     roots = []
     for i in np.flatnonzero(candidates):
         if ys[i] == 0.0:
             roots.append(float(xs[i]))
             continue
+        values[xs[i]], values[xs[i + 1]] = ys[i], ys[i + 1]
         try:
-            root = brentq(f, xs[i], xs[i + 1], xtol=ROOT_TOLERANCE)
-            value = f(root)
+            root = brentq(once, xs[i], xs[i + 1], xtol=ROOT_TOLERANCE)
+            value = once(root)
         except (ResonanceError, FluxDomainError, LabelingError):
             continue  # bracket straddles a pole, a flux-domain edge or an unlabeled point
         # a genuine root has |f| far below the bracket values; a pole blows up
@@ -307,7 +307,7 @@ def find_zero_g(
     xs = _scan(band, prescan_points)
     ys = _on_grid(f(xs), xs)
     _warn_if_blank(band, ys, _POLE_OR_DOMAIN)
-    roots = _refine_brackets(_memoized(f, xs, ys), xs, ys)
+    roots = _refine_brackets(f, xs, ys)
     if not roots:
         finite = np.where(np.isfinite(ys))[0]
         f_lo = ys[finite[0]] if finite.size else float("nan")
@@ -374,4 +374,4 @@ def find_zero_zz(
             LabelingWarning,
             stacklevel=2,
         )
-    return _refine_brackets(_memoized(zeta, xs, ys), xs, ys)
+    return _refine_brackets(zeta, xs, ys)

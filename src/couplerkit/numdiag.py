@@ -99,14 +99,18 @@ def _mode_operators(levels: tuple[int, int, int]):
 
 
 def _check_levels(levels) -> tuple[int, int, int]:
-    """``levels`` as three ints in [MIN_LEVELS, MAX_LEVELS]; a ValueError otherwise."""
-    levels = tuple(int(n) for n in levels)
-    if len(levels) != 3 or any(not MIN_LEVELS <= n <= MAX_LEVELS for n in levels):
+    """``levels`` as three ints in [MIN_LEVELS, MAX_LEVELS]; a ValueError
+    otherwise, also for an entry with a non-integral value (NaN and infinity
+    included)."""
+    levels = tuple(levels)
+    if len(levels) != 3 or not all(
+        MIN_LEVELS <= n <= MAX_LEVELS and n == int(n) for n in levels
+    ):
         raise ValueError(
             f"levels must be three integers in [{MIN_LEVELS}, {MAX_LEVELS}], "
             f"got {levels}"
         )
-    return levels
+    return tuple(int(n) for n in levels)
 
 
 def _parameters(m: SystemModel) -> tuple[np.ndarray, np.ndarray]:
@@ -189,33 +193,23 @@ def _sector_matches(
     overlap > 0.5 is unique and dominated by the label, and that is the one
     the rule of ``_label_matches`` picks.  A point where any label has no
     such eigenstate among the solved ones takes the full solve of
-    ``_label_matches``.
+    ``_label_matches`` at once, while ``block`` still holds it.
     """
     n = len(block)
-    windows = []  # each point's window energies and squared label amplitudes
+    labels = np.arange(len(rows))
+    energies, overlaps = np.full((2, len(p), len(rows)), np.nan)
     for i in points:
         diagonal = _fill_block(block, sector, rates[:, i], p[i])
         rank = np.count_nonzero(diagonal <= diagonal[rows].max())
-        energies, vectors = _lowest(block, min(n, rank + _WINDOW_MARGIN))
-        windows.append((energies, vectors[rows] ** 2))
-    width = max((len(e) for e, _ in windows), default=1)
-    energies = np.zeros((len(points), width))
-    weights = np.zeros((len(points), len(rows), width))
-    for j, (e, w) in enumerate(windows):
-        energies[j, : len(e)] = e
-        weights[j, :, : len(e)] = w
-    best = np.argmax(weights, axis=2)
-    point = np.arange(len(points))[:, None]
-    overlaps = weights[point, np.arange(len(rows)), best]
-    energies = energies[point, best]
-    solved = np.all(overlaps > LABEL_OVERLAP_THRESHOLD, axis=1)
-    for j in np.flatnonzero(~solved):
-        i = points[j]
-        _fill_block(block, sector, rates[:, i], p[i])
-        energies[j], overlaps[j] = _label_matches(block, rows)
-    out = np.full((2, len(p), len(rows)), np.nan)
-    out[0, points], out[1, points] = energies, overlaps
-    return out[0], out[1]
+        e, vectors = _lowest(block, min(n, rank + _WINDOW_MARGIN))
+        weights = vectors[rows] ** 2
+        best = weights.argmax(axis=1)
+        overlap = weights[labels, best]
+        if overlap.min() > LABEL_OVERLAP_THRESHOLD:
+            energies[i], overlaps[i] = e[best], overlap
+        else:
+            energies[i], overlaps[i] = _label_matches(block, rows)
+    return energies, overlaps
 
 
 _ZZ_LABELS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1))

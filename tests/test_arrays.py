@@ -1,10 +1,11 @@
 """Array evaluation of the flux-to-model chain against point-by-point floats.
 
-Every library builder, ``g_net``, ``zz_perturbative`` and ``zz_numeric``
-take a float or a 1-d array.  On an array, a point where the float call
-raises ResonanceError, FluxDomainError or (``zz_numeric``) LabelingError
-is NaN in every field, any other error is the error of the first failing
-point, and every other point has the bits of the float call.
+Every library builder, ``g_net``, ``zz_perturbative``,
+``dressed_frequencies`` and ``zz_numeric`` take a float or a 1-d array.  On
+an array, a point where the float call raises ResonanceError,
+FluxDomainError or (``zz_numeric``) LabelingError is NaN in every field,
+any other error is the error of the first failing point, and every other
+point has the bits of the float call.
 """
 
 import math
@@ -117,6 +118,17 @@ def assert_matches_pointwise(fn, xs):
                 assert float(column[i]).hex() == float(point[f.name]).hex(), (f.name, xs[i])
 
 
+def dressed(build):
+    """``dressed_frequencies`` of the builder's model, without its dispersive
+    guideline warnings."""
+    def fn(x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return effmodel.dressed_frequencies(build(x))
+
+    return fn
+
+
 @pytest.mark.parametrize("name", BUILDERS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -126,6 +138,7 @@ def test_builder_array_matches_floats(name, data):
     assert_matches_pointwise(build, xs)
     assert_matches_pointwise(lambda x: effmodel.g_net(build(x)), xs)
     assert_matches_pointwise(lambda x: effmodel.zz_perturbative(build(x)), xs)
+    assert_matches_pointwise(dressed(build), xs)
 
 
 @pytest.mark.parametrize("name", BUILDERS)
@@ -134,7 +147,7 @@ def test_builder_grid_matches_floats(name):
     # for the drawn points above; a dense grid catches it
     build, (lo, hi), _ = BUILDERS[name]
     stages = (build, lambda x: effmodel.g_net(build(x)),
-              lambda x: effmodel.zz_perturbative(build(x)))
+              lambda x: effmodel.zz_perturbative(build(x)), dressed(build))
     for fn in stages:
         xs = np.array([x for x in np.linspace(lo, hi, 2001)
                        if not isinstance(pointwise(fn, [x]), Exception)])

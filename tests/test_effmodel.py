@@ -141,6 +141,19 @@ class TestDressedFrequencies:
         with pytest.raises(ResonanceError):
             dressed_frequencies(m2)
 
+    def test_array_blanks_refused_points_and_warns_once(self):
+        # 4.40 GHz only warns (for both qubits as a float), 4.46 GHz is refused
+        m = design_model(FLOATING_DESIGN_RATES_SYMMETRIC, omegac=np.array([4.40, 4.46, 5.8]))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            d = dressed_frequencies(m)
+        assert [str(w.message) for w in seen] == [
+            "|g_1c/Delta_1| = 0.472 exceeds the dispersive guideline 0.3"
+        ]
+        assert seen[0].filename == __file__
+        for name in ("omega01_1", "omega01_2", "omega02_1", "omega02_2"):
+            assert np.isnan(getattr(d, name)).tolist() == [False, True, False], name
+
     @staticmethod
     def two_mode_oracle(w, eta, wc, etac, g, n=9):
         """Exact 2-mode diagonalization, labeling by dominant bare state."""
@@ -455,7 +468,15 @@ class TestMaskedPrescan:
 
 def per_interval_refine(f, xs, ys):
     """The bracket scan as a Python loop over every prescan interval: the
-    reference the array pass of ``_refine_brackets`` must reproduce."""
+    reference the array pass of ``_refine_brackets`` must reproduce.  Brent
+    takes each bracket's ends from the prescan and evaluates no point twice."""
+    values = {}
+
+    def once(x):
+        if x not in values:
+            values[x] = f(x)
+        return values[x]
+
     roots = []
     for i in range(len(xs) - 1):
         ya, yb = ys[i], ys[i + 1]
@@ -468,9 +489,10 @@ def per_interval_refine(f, xs, ys):
             continue
         if yb == 0.0 or np.sign(ya) == np.sign(yb):
             continue
+        values[xs[i]], values[xs[i + 1]] = ya, yb
         try:
-            root = brentq(f, xs[i], xs[i + 1], xtol=ROOT_TOLERANCE)
-            value = f(root)
+            root = brentq(once, xs[i], xs[i + 1], xtol=ROOT_TOLERANCE)
+            value = once(root)
         except (ResonanceError, FluxDomainError, LabelingError):
             continue
         if abs(value) <= min(abs(ya), abs(yb)):
@@ -557,3 +579,4 @@ def test_refine_brackets_matches_per_interval_scan(scan):
         got = _refine_brackets(got_f, xs, ys)
     assert [r.hex() for r in got] == [r.hex() for r in want]
     assert got_calls == want_calls
+    assert not set(got_calls) & {x.hex() for x in xs.tolist()}

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from couplerkit import (
     build_hamiltonian,
     dressed_frequencies,
     find_zero_g,
+    find_zero_zz,
     g_net,
     g_numeric,
     zz_numeric,
@@ -41,6 +43,28 @@ class TestBuildHamiltonian:
             build_hamiltonian(model(), (5, 13, 5))
         with pytest.raises(ValueError):
             build_hamiltonian(model(), (5, 5))
+
+    @pytest.mark.parametrize("levels", [
+        (5.9, 5, 5), (5, 4.5, 5), (3, 3, 11.5), (math.inf, 5, 5), (5, math.nan, 5),
+    ])
+    def test_non_integral_levels_rejected(self, levels):
+        builder = device_flux_builder(ASYMMETRIC_DEVICE, resonant=False)
+        calls = {
+            "build_hamiltonian": lambda: build_hamiltonian(model(), levels),
+            "zz_numeric": lambda: zz_numeric(model(), levels),
+            "array zz_numeric": lambda: zz_numeric(builder(np.linspace(4.4, 6.4, 5)), levels),
+            "find_zero_zz": lambda: find_zero_zz(builder, (4.4, 6.5), backend="numeric",
+                                                 levels=levels),
+        }
+        text = f"levels must be three integers in [2, 12], got {levels}"
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                call()
+
+    def test_integral_float_levels_are_ints(self):
+        levels = build_hamiltonian(model(), (5.0, np.int64(4), 3)).levels
+        assert levels == (5, 4, 3)
+        assert all(type(n) is int for n in levels)
 
     def test_uncoupled_is_diagonal_ladder(self):
         m = model(g1c=0.0, g2c=0.0, g12=0.0)

@@ -12,6 +12,11 @@ change's median over the parent's, and the pairs the change won by the
 direction ``BENCHMARK.json`` gives the metric (ties count for neither side).
 A metric reads ``gain`` when the change won at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile range.
+It reads ``worse`` when the change's median is worse than the parent's by
+more than the metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
+parent's median.  It reads ``unresolved`` when the parent's interquartile
+range is wider than that bound and not every run of the change beats every
+run of the parent: the runs spread too widely to call the metric unchanged.
 """
 
 from __future__ import annotations
@@ -43,15 +48,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(metric: str, better: str, parent: list[float], change: list[float]) -> str:
+def summarize(metric: str, better: str, bound: float,
+              parent: list[float], change: list[float]) -> str:
+    """One table row: each side's median and quartiles, the ratio of the
+    medians, the pairs the change won and the row's marks."""
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    gain = wins >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1
+    marks = []
+    if wins >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1:
+        marks.append("gain")
+    if sign * (cm - pm) < -bound * abs(pm):
+        marks.append("worse")
+    if p3 - p1 > bound * abs(pm) and not all(
+        sign * (c - p) > 0 for c in change for p in parent
+    ):
+        marks.append("unresolved")
     ratio = cm / pm if pm else float("nan")
     return (f"{metric:<18} {pm:>11.5g} [{p1:.5g}, {p3:.5g}]  {cm:>11.5g} [{c1:.5g}, {c3:.5g}]"
-            f"  {ratio:>7.4f}  {wins:>2}/{len(parent)}{'  gain' if gain else ''}")
+            f"  {ratio:>7.4f}  {wins:>2}/{len(parent)}{''.join('  ' + m for m in marks)}")
 
 
 def main(argv=None) -> int:
@@ -64,7 +80,7 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=40.0)
     args = p.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -79,12 +95,12 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}: {args.pairs} pairs, {args.seconds:g} s runs; "
           f"median [q1, q3] of parent, then change; change/parent; change wins")
-    for metric in better:
+    for metric, m in metrics.items():
         if any(metric not in r["metrics"] for side in runs.values() for r in side):
             continue
         parent = [r["metrics"][metric]["value"] for r in runs["parent"]]
         change = [r["metrics"][metric]["value"] for r in runs["change"]]
-        print(summarize(metric, better[metric], parent, change))
+        print(summarize(metric, m["better"], m["bound"], parent, change))
     failed = sum(r["failed"] for side in runs.values() for r in side)
     print(f"failed operations: {failed}; every run correct: "
           f"{all(r['correct'] for side in runs.values() for r in side)}")
