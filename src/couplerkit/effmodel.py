@@ -215,32 +215,6 @@ ModelBuilder = Callable[[float | ndarray], SystemModel]
 _POLE_OR_DOMAIN = "hit a resonance pole or fell outside the flux domain"
 
 
-def _scan(band: Sequence[float], points: int) -> ndarray:
-    """``points`` equally spaced values in ``band``: the prescan grid."""
-    lo, hi = band
-    if not lo < hi:
-        raise ValueError(f"band must satisfy lo < hi, got ({lo}, {hi})")
-    if not points >= 2:
-        raise ValueError(f"prescan_points must be at least 2, got {points}")
-    return np.linspace(lo, hi, points)
-
-
-def _on_grid(values, xs: ndarray) -> ndarray:
-    """Prescan values as floats of the grid's shape, also from a builder
-    whose model does not depend on the swept variable."""
-    return np.broadcast_to(np.asarray(values, dtype=float), xs.shape)
-
-
-def _warn_if_blank(band: Sequence[float], ys: ndarray, causes: str) -> None:
-    """Warn the finder's caller when every prescan value is NaN, naming
-    ``causes``, the reasons a value can be NaN."""
-    if np.isnan(ys).all():
-        warnings.warn(
-            f"every prescan point in [{band[0]:.6g}, {band[1]:.6g}] {causes}",
-            stacklevel=3,
-        )
-
-
 def _refine_brackets(
     f: Callable[[float], float], xs: np.ndarray, ys: np.ndarray
 ) -> list[float]:
@@ -287,6 +261,55 @@ def _refine_brackets(
     return roots
 
 
+def _prescan_roots(
+    builder: ModelBuilder,
+    evaluate: Callable[[SystemModel], float | ndarray],
+    band: Sequence[float],
+    points: int,
+    numeric: bool = False,
+) -> tuple[list[float], ndarray]:
+    """Roots in ``band`` of x -> evaluate(builder(x)), and its prescan values.
+
+    ``builder`` and ``evaluate`` run once on ``points`` equally spaced values
+    in ``band``, and ``_refine_brackets`` refines from them on floats.  Warns
+    the finder's caller when every prescan value is NaN, naming the reasons a
+    value can be NaN.  The ``numeric`` ZZ backend has no resonance floor: its
+    reasons are the ones seen, and one LabelingWarning counts the modeled
+    points it could not label.
+    """
+    lo, hi = band
+    if not lo < hi:
+        raise ValueError(f"band must satisfy lo < hi, got ({lo}, {hi})")
+    if not points >= 2:
+        raise ValueError(f"prescan_points must be at least 2, got {points}")
+    xs = np.linspace(lo, hi, points)
+    m = builder(xs)
+    # floats of the grid's shape, also from a builder whose model does not
+    # depend on the swept variable
+    ys = np.broadcast_to(np.asarray(evaluate(m), dtype=float), xs.shape)
+    causes, unlabeled = _POLE_OR_DOMAIN, 0
+    if numeric:
+        # m.omegac is NaN where the builder could not model the point
+        modeled = np.isfinite(m.omegac)
+        unlabeled = np.count_nonzero(modeled & np.isnan(ys))
+        causes = " or ".join(
+            cause for cause, seen in (
+                ("fell outside the flux domain", not modeled.all()),
+                ("could not be labeled", unlabeled),
+            ) if seen
+        )
+    if np.isnan(ys).all():
+        warnings.warn(f"every prescan point in [{lo:.6g}, {hi:.6g}] {causes}", stacklevel=3)
+    if unlabeled:
+        warnings.warn(
+            f"{unlabeled} of {points} prescan points in [{lo:.6g}, {hi:.6g}] "
+            "could not be labeled and were skipped",
+            LabelingWarning,
+            stacklevel=3,
+        )
+    return _refine_brackets(lambda x: evaluate(builder(x)), xs, ys), ys
+
+
 def find_zero_g(
     builder: ModelBuilder,
     band: Sequence[float],
@@ -300,14 +323,7 @@ def find_zero_g(
     sign; warns when more than one sign change is seen, and when every
     prescan point is NaN.
     """
-
-    def f(wc):
-        return g_net(builder(wc)).g
-
-    xs = _scan(band, prescan_points)
-    ys = _on_grid(f(xs), xs)
-    _warn_if_blank(band, ys, _POLE_OR_DOMAIN)
-    roots = _refine_brackets(f, xs, ys)
+    roots, ys = _prescan_roots(builder, lambda m: g_net(m).g, band, prescan_points)
     if not roots:
         finite = np.where(np.isfinite(ys))[0]
         f_lo = ys[finite[0]] if finite.size else float("nan")
@@ -339,39 +355,13 @@ def find_zero_zz(
     dressed states it cannot label (LabelingError) like a pole, and issues
     one LabelingWarning with the number of prescan points skipped so.
     """
-    if backend not in ("perturbative", "numeric"):
-        raise ValueError(f"backend must be 'perturbative' or 'numeric', got {backend!r}")
-    xs = _scan(band, prescan_points)
     if backend == "perturbative":
-
-        def zeta(wc):
-            return zz_perturbative(builder(wc)).zeta_total
-
-        ys, unlabeled, causes = zeta(xs), 0, _POLE_OR_DOMAIN
-    else:
-
-        def zeta(wc):
-            return numdiag.zz_numeric(builder(wc), levels)
-
-        m = builder(xs)
-        ys = numdiag.zz_numeric(m, levels)
-        # m.omegac is NaN where the builder could not model the point; the
-        # numeric backend has no resonance floor
-        modeled = np.isfinite(m.omegac)
-        unlabeled = np.count_nonzero(modeled & np.isnan(ys))
-        causes = " or ".join(
-            cause for cause, seen in (
-                ("fell outside the flux domain", not modeled.all()),
-                ("could not be labeled", unlabeled),
-            ) if seen
-        )
-    ys = _on_grid(ys, xs)
-    _warn_if_blank(band, ys, causes)
-    if unlabeled:
-        warnings.warn(
-            f"{unlabeled} of {prescan_points} prescan points in "
-            f"[{band[0]:.6g}, {band[1]:.6g}] could not be labeled and were skipped",
-            LabelingWarning,
-            stacklevel=2,
-        )
-    return _refine_brackets(zeta, xs, ys)
+        return _prescan_roots(
+            builder, lambda m: zz_perturbative(m).zeta_total, band, prescan_points
+        )[0]
+    if backend == "numeric":
+        return _prescan_roots(
+            builder, lambda m: numdiag.zz_numeric(m, levels), band, prescan_points,
+            numeric=True,
+        )[0]
+    raise ValueError(f"backend must be 'perturbative' or 'numeric', got {backend!r}")

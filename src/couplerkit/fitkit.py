@@ -262,6 +262,8 @@ def fit_g_vs_flux(
     for name in free:
         if name not in FIT_PARAMETER_NAMES:
             raise ValueError(f"unknown fit parameter {name!r}")
+        if free.count(name) > 1:
+            raise ValueError(f"free lists {name!r} more than once")
     if not free:
         raise ValueError("at least one parameter must be free")
     if len(data) < len(free):

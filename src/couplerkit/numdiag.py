@@ -136,10 +136,19 @@ def _fill_block(block: np.ndarray, sector, rates, p: np.ndarray) -> np.ndarray:
     return diagonal
 
 
+def _one_point(m: SystemModel, name: str) -> None:
+    """A ValueError when ``m`` is a model of an array of points, which the
+    function ``name`` does not take."""
+    if type(m.omegac) is np.ndarray:
+        raise ValueError(f"{name} takes a model of one point; zz_numeric takes arrays of points")
+
+
 def build_hamiltonian(
     m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS
 ) -> TruncatedHamiltonian:
-    """Assemble the truncated Hamiltonian (real, exactly symmetric, GHz)."""
+    """Assemble the truncated Hamiltonian (real, exactly symmetric, GHz) of a
+    model of one point."""
+    _one_point(m, "build_hamiltonian")
     levels = _check_levels(levels)
     rates, p = _parameters(m)
     blocks = []
@@ -177,39 +186,26 @@ def _label_matches(block: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _sector_matches(
-    block: np.ndarray,
-    sector,
-    rows: np.ndarray,
-    rates: np.ndarray,
-    p: np.ndarray,
-    points: np.ndarray,
+    block: np.ndarray, diagonal: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Energies and overlaps (P, len(rows)) of the eigenstates the label rows
-    take in one parity sector at each of ``points``; NaN at the other points.
+    """Energies and overlaps of the eigenstates the label rows take in one
+    point's filled sector ``block``, whose diagonal is ``diagonal``.
 
-    Each point is written into ``block`` in turn, and only its lowest
-    eigenpairs, up to a margin above the labels' bare-energy ranks, are
-    solved.  A label's squared overlaps sum to 1, so an eigenstate with
-    overlap > 0.5 is unique and dominated by the label, and that is the one
-    the rule of ``_label_matches`` picks.  A point where any label has no
-    such eigenstate among the solved ones takes the full solve of
-    ``_label_matches`` at once, while ``block`` still holds it.
+    Only the lowest eigenpairs, up to a margin above the labels' bare-energy
+    ranks, are solved.  A label's squared overlaps sum to 1, so an eigenstate
+    with overlap > 0.5 is unique and dominated by the label, and that is the
+    one the rule of ``_label_matches`` picks.  When any label has no such
+    eigenstate among the solved ones, the full solve of ``_label_matches``
+    answers instead.
     """
-    n = len(block)
-    labels = np.arange(len(rows))
-    energies, overlaps = np.full((2, len(p), len(rows)), np.nan)
-    for i in points:
-        diagonal = _fill_block(block, sector, rates[:, i], p[i])
-        rank = np.count_nonzero(diagonal <= diagonal[rows].max())
-        e, vectors = _lowest(block, min(n, rank + _WINDOW_MARGIN))
-        weights = vectors[rows] ** 2
-        best = weights.argmax(axis=1)
-        overlap = weights[labels, best]
-        if overlap.min() > LABEL_OVERLAP_THRESHOLD:
-            energies[i], overlaps[i] = e[best], overlap
-        else:
-            energies[i], overlaps[i] = _label_matches(block, rows)
-    return energies, overlaps
+    rank = np.count_nonzero(diagonal <= diagonal[rows].max())
+    energies, vectors = _lowest(block, min(len(block), rank + _WINDOW_MARGIN))
+    weights = vectors[rows] ** 2
+    best = weights.argmax(axis=1)
+    overlaps = weights[np.arange(len(rows)), best]
+    if overlaps.min() > LABEL_OVERLAP_THRESHOLD:
+        return energies[best], overlaps
+    return _label_matches(block, rows)
 
 
 _ZZ_LABELS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1))
@@ -236,32 +232,32 @@ def zz_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS):
     else:
         h = build_hamiltonian(m, levels)
         levels, blocks = h.levels, h.blocks
-    rates, p = _parameters(m)
-    points = np.flatnonzero(np.isfinite(rates).all(axis=0) & np.isfinite(p).all(axis=1))
-    energies, overlaps = {}, {}
+    # each sector's block, operators, label rows and the labels' places in _ZZ_LABELS
+    sectors = []
     for labels in _ZZ_SECTORS:
         parity, rows = _label_rows(levels, labels)
-        e, o = _sector_matches(
-            blocks[parity], _mode_operators(levels)[parity], rows, rates, p, points
-        )
-        energies.update(zip(labels, e.T))
-        overlaps.update(zip(labels, o.T))
-    zeta = energies[(1, 0, 1)] - energies[(1, 0, 0)] - energies[(0, 0, 1)] + energies[(0, 0, 0)]
-    if on_array:
-        labeled = np.logical_and.reduce(
-            [overlaps[label] > LABEL_OVERLAP_THRESHOLD for label in _ZZ_LABELS]
-        )
-        return np.where(labeled, zeta, np.nan)
-    for label in _ZZ_LABELS:
-        overlap = overlaps[label][0]
-        if overlap < 0.0:
-            raise LabelingError(f"no eigenstate is dominated by bare state {label}")
-        if overlap <= LABEL_OVERLAP_THRESHOLD:
-            raise LabelingError(
-                f"bare state {label} is ambiguous (overlap {overlap:.3f} <= "
-                f"{LABEL_OVERLAP_THRESHOLD})"
-            )
-    return float(zeta[0])
+        places = np.array([_ZZ_LABELS.index(label) for label in labels])
+        sectors.append((blocks[parity], _mode_operators(levels)[parity], rows, places))
+    rates, p = _parameters(m)
+    zeta = np.full(len(p), np.nan)
+    energies, overlaps = np.empty((2, len(_ZZ_LABELS)))
+    for i in np.flatnonzero(np.isfinite(rates).all(axis=0) & np.isfinite(p).all(axis=1)):
+        for block, sector, rows, places in sectors:
+            diagonal = _fill_block(block, sector, rates[:, i], p[i])
+            energies[places], overlaps[places] = _sector_matches(block, diagonal, rows)
+        if overlaps.min() > LABEL_OVERLAP_THRESHOLD:
+            e000, e100, e001, e101 = energies
+            zeta[i] = e101 - e100 - e001 + e000
+        elif not on_array:
+            for label, overlap in zip(_ZZ_LABELS, overlaps):
+                if overlap < 0.0:
+                    raise LabelingError(f"no eigenstate is dominated by bare state {label}")
+                if overlap <= LABEL_OVERLAP_THRESHOLD:
+                    raise LabelingError(
+                        f"bare state {label} is ambiguous (overlap {overlap:.3f} <= "
+                        f"{LABEL_OVERLAP_THRESHOLD})"
+                    )
+    return zeta if on_array else float(zeta[0])
 
 
 def g_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS) -> float:
@@ -270,8 +266,10 @@ def g_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS) -> 
     Requires the builder to have put the qubits on resonance; at resonance the
     qubit-like eigenstates are (anti)symmetric superpositions, so states are
     selected by total qubit single-excitation weight rather than a single bare
-    label, and the coupler-like branch is excluded.
+    label, and the coupler-like branch is excluded.  Takes a model of one
+    point.
     """
+    _one_point(m, "g_numeric")
     if abs(m.omega1 - m.omega2) > 1e-9:
         raise ValueError(
             f"g_numeric needs resonant qubits, got omega1 = {m.omega1}, "

@@ -120,9 +120,10 @@ class TestFindZeroG:
     def test_multiple_roots_warn_and_return_lowest(self):
         # asymmetric rates have one zero between the qubits and one above
         builder = frequency_sweep_builder(design_model(FLOATING_DESIGN_RATES_ASYMMETRIC))
-        with pytest.warns(UserWarning, match="crosses zero 2 times"):
+        with pytest.warns(UserWarning, match="crosses zero 2 times") as seen:
             root = find_zero_g(builder, (4.585, 6.14))
         assert root < 4.64
+        assert [w.filename for w in seen] == [__file__]
 
 
 class TestDressedFrequencies:
@@ -305,8 +306,9 @@ class TestUnlabeledPoints:
         with pytest.warns(
             LabelingWarning,
             match=rf"^{skipped} of 200 prescan points in \[2.5, 4\] could not be labeled",
-        ):
+        ) as seen:
             found = find_zero_zz(builder, (2.5, 4.0), backend="numeric")
+        assert [w.filename for w in seen] == [__file__]
         assert len(found) == roots
         assert all(abs(zz_numeric(builder(r), (5, 5, 5))) < 1e-9 for r in found)
 
@@ -431,14 +433,16 @@ class TestMaskedPrescan:
     def test_all_poles_warn(self):
         # resonant qubits put every point on the Delta_12 floor
         builder = device_flux_builder(ASYMMETRIC_DEVICE, resonant=True)
-        with pytest.warns(UserWarning, match=r"every prescan point in \[4.4, 6.5\] hit"):
+        with pytest.warns(UserWarning, match=r"every prescan point in \[4.4, 6.5\] hit") as seen:
             assert find_zero_zz(builder, (4.4, 6.5)) == []
+        assert [w.filename for w in seen] == [__file__]
 
     def test_all_poles_warn_before_no_root(self):
         builder = frequency_sweep_builder(design_model(FLOATING_DESIGN_RATES_SYMMETRIC))
-        with pytest.warns(UserWarning, match="resonance pole or fell outside the flux domain"):
+        with pytest.warns(UserWarning, match="resonance pole or fell outside the flux domain") as seen:
             with pytest.raises(NoRootError):
                 find_zero_g(builder, (4.5795, 4.5805))
+        assert [w.filename for w in seen] == [__file__]
 
     @pytest.mark.parametrize("band, causes", [
         ((4.2, 6.0), "could not be labeled"),
@@ -457,6 +461,7 @@ class TestMaskedPrescan:
         assert found == []
         lo, hi = (f"{x:.6g}" for x in band)
         assert str(seen[0].message) == f"every prescan point in [{lo}, {hi}] {causes}"
+        assert all(w.filename == __file__ for w in seen)
         assert all("resonance pole" not in str(w.message) for w in seen)
 
     def test_some_poles_do_not_warn(self):

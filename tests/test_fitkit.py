@@ -166,6 +166,14 @@ class TestFit:
         with pytest.raises(ValueError, match="unknown fit parameter"):
             fit_g_vs_flux(small, TRUE, free=("g12_mhz", "bogus"))
 
+    @pytest.mark.parametrize("free", [
+        ("g12_mhz", "g12_mhz"),
+        ("g12_mhz", "g1c_g2c_mhz2", "g12_mhz"),
+    ])
+    def test_duplicate_free_parameter_rejected(self, free):
+        with pytest.raises(ValueError, match=r"^free lists 'g12_mhz' more than once$"):
+            fit_g_vs_flux(true_dataset(), TRUE, free=free)
+
     def test_underdetermined_error_rows_vs_params(self):
         with pytest.raises(UnderdeterminedFitError):
             # bypass the dataset minimum via direct construction is blocked,

@@ -61,6 +61,14 @@ class TestBuildHamiltonian:
             with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
                 call()
 
+    @pytest.mark.parametrize("name", ["build_hamiltonian", "g_numeric"])
+    def test_one_point_functions_refuse_array_models(self, name):
+        # resonant qubits, so that g_numeric reaches its resonance test
+        m = device_flux_builder(ASYMMETRIC_DEVICE, resonant=True)(np.array([5.0, 5.5]))
+        text = f"{name} takes a model of one point; zz_numeric takes arrays of points"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            getattr(numdiag, name)(m, (3, 3, 3))
+
     def test_integral_float_levels_are_ints(self):
         levels = build_hamiltonian(model(), (5.0, np.int64(4), 3)).levels
         assert levels == (5, 4, 3)
