@@ -15,10 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from numpy import ndarray
 from scipy.optimize import least_squares, minimize
 
 from .errors import NetlistError, UnderdeterminedFitError
@@ -182,17 +183,33 @@ class FitResult:
 
 
 def model_g_mhz(params: CouplerFluxModel, phi, omega1_ghz, omega2_ghz) -> np.ndarray:
-    """Signed net coupling (MHz) at reduced flux values ``phi`` (radians)."""
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    w1 = np.broadcast_to(np.asarray(omega1_ghz, dtype=float), phi.shape)
-    w2 = np.broadcast_to(np.asarray(omega2_ghz, dtype=float), phi.shape)
+    """Signed net coupling (MHz) at reduced flux values ``phi`` (radians).
+
+    ``phi`` is a float or an array, and the qubit frequencies broadcast to its
+    shape.  Three 1-d float arrays of one shape, as a fit passes them, are
+    used as they are.
+    """
+    w1, w2 = omega1_ghz, omega2_ghz
+    if not (
+        type(phi) is ndarray and type(w1) is ndarray and type(w2) is ndarray
+        and phi.ndim == 1 and phi.dtype == w1.dtype == w2.dtype == float
+        and phi.shape == w1.shape == w2.shape
+    ):
+        phi = np.atleast_1d(np.asarray(phi, dtype=float))
+        w1 = np.broadcast_to(np.asarray(w1, dtype=float), phi.shape)
+        w2 = np.broadcast_to(np.asarray(w2, dtype=float), phi.shape)
+        if phi.ndim > 1:
+            return model_g_mhz(params, phi.ravel(), w1.ravel(), w2.ravel()).reshape(phi.shape)
     squid = SquidParams.from_sum_asymmetry(
         params.coupler_ej_sum_ghz, params.coupler_asymmetry
     )
-    ejs = np.array([ej_of_flux(squid, p) for p in phi])
-    if np.any(ejs <= 0):
+    # Python floats take the math path of the flux chain: the bits of
+    # np.float64 rows, at less cost
+    ejs = np.array([ej_of_flux(squid, p) for p in phi.tolist()])
+    if (ejs <= 0).any():
         return np.full(phi.shape, np.nan)
-    wc = np.array([frequency_from_energies(params.coupler_ec_ghz, ej) for ej in ejs])
+    e_c = params.coupler_ec_ghz
+    wc = np.array([frequency_from_energies(e_c, ej) for ej in ejs.tolist()])
     # product scales as 1/Upsilon^2 = sqrt(EJ(phi)/EJ(0))
     product_ghz2 = params.g1c_g2c_mhz2 * 1e-6 * np.sqrt(ejs / squid.ej_sum)
     s = 1.0 / (wc - w1) + 1.0 / (wc + w1) + 1.0 / (wc - w2) + 1.0 / (wc + w2)
@@ -225,21 +242,6 @@ def synth_g_dataset(
     return GFluxDataset(
         phi=phi, g_mhz=np.abs(g), sign=sign, omega1_ghz=w1, omega2_ghz=w2
     )
-
-
-def _residuals(params: CouplerFluxModel, data: GFluxDataset) -> np.ndarray:
-    try:
-        g = model_g_mhz(params, data.phi, data.omega1_ghz, data.omega2_ghz)
-    except ValueError:
-        # free coupler parameters can step outside the SQUID/transmon domain
-        g = np.full(len(data), np.nan)
-    if np.any(~np.isfinite(g)):
-        return np.full(len(data), 1e6)
-    signed = data.sign != 0.0
-    res = np.empty(len(data))
-    res[signed] = g[signed] - data.sign[signed] * data.g_mhz[signed]
-    res[~signed] = np.abs(g[~signed]) - data.g_mhz[~signed]
-    return res
 
 
 def fit_g_vs_flux(
@@ -276,14 +278,37 @@ def fit_g_vs_flux(
 
     # scale factors keep the simplex well conditioned across parameter units
     scales = {name: max(abs(getattr(init, name)), 1.0) for name in free}
+    held = [getattr(init, name) for name in FIT_PARAMETER_NAMES]
+    slots = [(FIT_PARAMETER_NAMES.index(name), scales[name]) for name in free]
 
-    def unpack(x: np.ndarray) -> CouplerFluxModel:
-        return replace(
-            init, **{name: x[i] * scales[name] for i, name in enumerate(free)}
-        )
+    def model_at(x: np.ndarray) -> CouplerFluxModel:
+        values = held.copy()
+        for (slot, scale), value in zip(slots, x.tolist()):
+            values[slot] = value * scale
+        return CouplerFluxModel(*values)
+
+    n = len(data)
+    phi, w1, w2 = data.phi, data.omega1_ghz, data.omega2_ghz
+    signed = data.sign != 0.0
+    magnitude = ~signed
+    signed_g = data.sign[signed] * data.g_mhz[signed]
+    magnitude_g = data.g_mhz[magnitude]
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        try:
+            g = model_g_mhz(model_at(x), phi, w1, w2)
+        except ValueError:
+            # free coupler parameters can step outside the SQUID/transmon domain
+            return np.full(n, 1e6)
+        if not np.isfinite(g).all():
+            return np.full(n, 1e6)
+        res = np.empty(n)
+        res[signed] = g[signed] - signed_g
+        res[magnitude] = np.abs(g[magnitude]) - magnitude_g
+        return res
 
     def objective(x: np.ndarray) -> float:
-        return float(np.sum(_residuals(unpack(x), data) ** 2))
+        return float(np.sum(residuals(x) ** 2))
 
     x0 = np.array([getattr(init, name) / scales[name] for name in free])
     simplex = minimize(
@@ -304,7 +329,7 @@ def fit_g_vs_flux(
     jacobian = None
     # the row count check above guarantees LM's rows >= parameters
     gn = least_squares(
-        lambda x: _residuals(unpack(x), data),
+        residuals,
         best_x,
         method="lm",
         diff_step=1e-6,
@@ -316,9 +341,9 @@ def fit_g_vs_flux(
         converged = converged or bool(gn.success)
         jacobian = gn.jac
     else:
-        res = _residuals(unpack(best_x), data)
+        res = residuals(best_x)
 
-    params = unpack(best_x)
+    params = model_at(best_x)
     rms = float(np.sqrt(np.mean(res**2)))
 
     covariance: dict[str, float] = {}

@@ -69,12 +69,13 @@ class SystemModel:
     Frequencies and anharmonicities in GHz (eta stored as positive
     magnitudes); coupling rates signed, in GHz.
 
-    The first six fields must be positive.  A model of several points holds
-    1-d arrays: when any field is an array, every field is made an array of
-    the common length, a point with NaN in any field becomes NaN in all of
-    them (a point its builder could not model), and a ValueError names the
-    first other point with a field that is not positive, as the float model
-    of that point would.
+    The first six fields must be positive and the three coupling rates
+    finite.  A model of several points holds 1-d arrays: when any field is an
+    array, every field is made an array of the common length, a point with
+    NaN in any field becomes NaN in all of them (a point its builder could
+    not model), and a ValueError names the first other point with a field
+    that is not positive or a rate that is infinite, as the float model of
+    that point would.
     """
 
     omega1: float
@@ -96,17 +97,24 @@ class SystemModel:
             and type(self.g12) is not ndarray
             and self.omega1 > 0 and self.omega2 > 0 and self.omegac > 0
             and self.eta1 > 0 and self.eta2 > 0 and self.etac > 0
+            and math.isfinite(self.g1c) and math.isfinite(self.g2c)
+            and math.isfinite(self.g12)
         ):
             return  # the common case, a valid model of one point
         self._check_points()
 
     def _check_points(self) -> None:
-        """The rest of ``__post_init__``: name the first non-positive field of a
-        float model, or normalize and check a model of points."""
+        """The rest of ``__post_init__``: name the first field of a float model
+        that is not positive or not finite, or normalize and check a model of
+        points."""
         values = [getattr(self, name) for name in _FIELDS]
         if ndarray not in map(type, values):
-            name = next(n for n in _FIELDS if not getattr(self, n) > 0)
-            raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            for name, value in zip(_FIELDS, values):
+                if name in _RATES:
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} must be finite, got {value}")
+                elif not value > 0:
+                    raise ValueError(f"{name} must be positive, got {value}")
         table = np.empty((len(values), *np.broadcast(*values).shape))
         for i, value in enumerate(values):
             table[i] = value
@@ -115,11 +123,13 @@ class SystemModel:
             table[:, nan] = np.nan
         for name, column in zip(_FIELDS, table):
             object.__setattr__(self, name, column)
-        positive = table[:6].reshape(6, -1)  # (field, point), also for 0-d fields
-        bad = positive.T <= 0  # (point, field); NaN is not <= 0
+        columns = table.reshape(len(values), -1)  # (field, point), also for 0-d fields
+        bad = columns <= 0  # NaN is neither <= 0 nor infinite
+        bad[6:] = np.isinf(columns[6:])
         if bad.any():
-            point, field = np.argwhere(bad)[0]
-            raise ValueError(f"{_FIELDS[field]} must be positive, got {positive[field, point]}")
+            point, field = np.argwhere(bad.T)[0]
+            rule = "finite" if _FIELDS[field] in _RATES else "positive"
+            raise ValueError(f"{_FIELDS[field]} must be {rule}, got {columns[field, point]}")
 
     def swapped_qubits(self) -> "SystemModel":
         """The same system with the qubit labels exchanged."""
@@ -135,6 +145,7 @@ class SystemModel:
 
 
 _FIELDS = tuple(f.name for f in fields(SystemModel))
+_RATES = _FIELDS[6:]
 
 
 def _checked_ej(e_c: float, e_j):

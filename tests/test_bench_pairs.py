@@ -62,3 +62,16 @@ def test_row_reports_medians_ratio_and_wins():
     assert fields[0] == "find_s"
     assert float(fields[1]) == pytest.approx(100.0)
     assert fields[-3] == "0.9000" and fields[-2] == "10/10"
+
+
+def test_operations_row_has_sides_and_ratio_but_no_marks():
+    parent = [5000, 5100, 4900, 5050, 4950]
+    change = [6000, 6100, 5900, 6050, 5950]
+    row = bench_pairs.sides("operations", parent, change)
+    fields = row.replace("[", " ").replace("]", " ").replace(",", " ").split()
+    assert fields[0] == "operations"
+    assert [float(f) for f in fields[1:7]] == [5000, 4950, 5050, 6000, 5950, 6050]
+    assert fields[7] == "1.2000" and len(fields) == 8
+    # a metric row starts with the same columns
+    metric = bench_pairs.summarize("operations", "lower", 0.24, parent, change)
+    assert metric.startswith(row + "  ")

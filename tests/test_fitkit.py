@@ -30,9 +30,17 @@ W1, W2 = 3.449, 3.449
 PHI = np.linspace(0.0, 0.42 * 2 * math.pi, 25)
 
 
-def true_dataset(noise=0.0, seed=0, with_signs=True):
-    return synth_g_dataset(TRUE, PHI, W1, W2, noise_sigma_mhz=noise, seed=seed,
+def true_dataset(noise=0.0, seed=0, with_signs=True, rows=len(PHI), mixed=False):
+    """Synthetic data from TRUE over PHI's range; ``mixed`` drops the sign of
+    every third row."""
+    phi = np.linspace(0.0, 0.42 * 2 * math.pi, rows)
+    data = synth_g_dataset(TRUE, phi, W1, W2, noise_sigma_mhz=noise, seed=seed,
                            with_signs=with_signs)
+    if mixed:
+        sign = data.sign.copy()
+        sign[::3] = 0.0
+        data = replace(data, sign=sign)
+    return data
 
 
 class TestDataset:
@@ -295,6 +303,24 @@ PINNED_FITS = [
      "0x1.a63dcdf2e302fp-4", 417, True,
      {"g12_mhz": "0x1.c06625e790a86p-11", "g1c_g2c_mhz2": "0x1.a3a9f679870a3p+10",
       "coupler_ej_sum_ghz": "0x1.09b265c81c917p-18"}),
+    # mixed signs and 200 rows, through a trailing dict of true_dataset
+    # options; then a fit that frees E_C
+    ((0.1, 4, True, FREE_2, INIT, {"mixed": True}),
+     ["-0x1.2cb5e289d08fcp+3", "-0x1.0e8ac94c41f47p+14", "0x1.69ccb7d41743fp-3",
+      "0x1.fd515f8ad86f3p+4", "0x0.0p+0"],
+     "0x1.b4da060c513c3p-4", 170, True,
+     {"g12_mhz": "0x1.320bbd8a71275p-11", "g1c_g2c_mhz2": "0x1.a14ade0869d0ep+6"}),
+    ((0.1, 5, True, FREE_2, INIT, {"rows": 200}),
+     ["-0x1.2cff9685b2979p+3", "-0x1.0e9b13b46c78cp+14", "0x1.69ccb7d41743fp-3",
+      "0x1.fd515f8ad86f3p+4", "0x0.0p+0"],
+     "0x1.89377acd96149p-4", 184, True,
+     {"g12_mhz": "0x1.8772be1141bd0p-15", "g1c_g2c_mhz2": "0x1.ee65cac734fdfp-5"}),
+    ((0.0, 0, True, FREE_2 + ("coupler_ec_ghz",), replace(INIT, coupler_ec_ghz=1.02 * EC_C)),
+     ["-0x1.2ccccccccccc5p+3", "-0x1.0e9a3d70a3d6bp+14", "0x1.69ccb7d417440p-3",
+      "0x1.fd515f8ad86f3p+4", "0x0.0p+0"],
+     "0x1.59a8aa4497f08p-42", 452, True,
+     {"g12_mhz": "0x1.2c61c7a1ea1bdp-87", "g1c_g2c_mhz2": "0x1.19fcb4d296025p-66",
+      "coupler_ec_ghz": "0x1.c1caffa164120p-110"}),
 ]
 
 
@@ -303,9 +329,32 @@ PINNED_FITS = [
 def test_fit_results_pinned(case, params, rms, n_evaluations, converged, covariance):
     # bookkeeping around the simplex and LM passes must not move a bit of
     # what the fit returns
-    noise, seed, with_signs, free, init = case
-    result = fit_g_vs_flux(true_dataset(noise, seed, with_signs), init, free=free)
+    noise, seed, with_signs, free, init, *options = case
+    data = true_dataset(noise, seed, with_signs, **(options[0] if options else {}))
+    result = fit_g_vs_flux(data, init, free=free)
     assert [float(v).hex() for v in astuple(result.params)] == params
     assert result.rms_residual_mhz.hex() == rms
     assert (result.n_evaluations, result.converged) == (n_evaluations, converged)
     assert {k: v.hex() for k, v in result.covariance.items()} == covariance
+
+
+def test_model_input_contract():
+    # a float or list flux and float qubit frequencies give the bits of the
+    # equivalent 1-d float arrays; a frequency array of another shape is a
+    # ValueError
+    phi = PHI[:6]
+    want = model_g_mhz(TRUE, phi, np.full(6, W1), np.full(6, W2))
+    assert model_g_mhz(TRUE, phi.tolist(), W1, W2).tobytes() == want.tobytes()
+    assert model_g_mhz(TRUE, phi, W1, np.full(6, W2)).tobytes() == want.tobytes()
+    for i in range(6):
+        assert model_g_mhz(TRUE, float(phi[i]), W1, W2).tobytes() == want[i:i + 1].tobytes()
+        assert model_g_mhz(TRUE, phi[i], W1, W2).tobytes() == want[i:i + 1].tobytes()
+    w_int = np.full(6, 3)
+    assert (model_g_mhz(TRUE, phi, w_int, w_int).tobytes()
+            == model_g_mhz(TRUE, phi, np.full(6, 3.0), np.full(6, 3.0)).tobytes())
+    grid = model_g_mhz(TRUE, phi.reshape(2, 3), W1, W2)
+    assert grid.shape == (2, 3) and grid.tobytes() == want.tobytes()
+    for w1, w2 in ((np.full(5, W1), W2), (np.full(6, W1), np.full(7, W2)),
+                   (np.full((6, 2), W1), np.full(6, W2))):
+        with pytest.raises(ValueError):
+            model_g_mhz(TRUE, phi, w1, w2)

@@ -210,6 +210,38 @@ class TestSystemModel:
         assert (s.g1c, s.g2c) == (m.g2c, m.g1c)
         assert s.omegac == m.omegac and s.g12 == m.g12
 
+    MODEL = dict(omega1=4.58, omega2=4.64, omegac=4.0, eta1=0.23, eta2=0.233,
+                 etac=0.19, g1c=-0.085, g2c=0.098, g12=-5.8e-3)
+
+    @pytest.mark.parametrize("name", ["g1c", "g2c", "g12"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_float_rate_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            SystemModel(**{**self.MODEL, name: value})
+
+    def test_float_fields_are_checked_in_order(self):
+        with pytest.raises(ValueError, match="^etac must be positive, got 0.0$"):
+            SystemModel(**{**self.MODEL, "etac": 0.0, "g1c": math.inf})
+        with pytest.raises(ValueError, match="^g2c must be finite, got inf$"):
+            SystemModel(**{**self.MODEL, "g2c": math.inf, "g12": math.nan})
+
+    def test_array_infinite_rate_names_the_first_such_point(self):
+        # point 1 is NaN, so its infinite g2c is not looked at; point 2's g12
+        # comes before point 3's g1c and the non-positive omega1 of point 4
+        g1c = np.array([-0.085, -0.085, -0.085, math.inf, -0.085])
+        g2c = np.array([0.098, math.inf, 0.098, 0.098, 0.098])
+        g12 = np.array([-5.8e-3, math.nan, -math.inf, -5.8e-3, -5.8e-3])
+        omega1 = np.array([4.58, 4.58, 4.58, 4.58, 0.0])
+        points = {**self.MODEL, "omega1": omega1, "g1c": g1c, "g2c": g2c, "g12": g12}
+        with pytest.raises(ValueError, match="^g12 must be finite, got -inf$"):
+            SystemModel(**points)
+        with pytest.raises(ValueError, match="^g1c must be finite, got inf$"):
+            SystemModel(**{**points, "g12": g12[[0, 1, 0, 0, 0]]})
+        m = SystemModel(**{**points, "g1c": g1c[[0, 1, 2, 0, 4]], "g12": g12[[0, 1, 0, 0, 0]],
+                           "omega1": omega1[:4].repeat([1, 1, 1, 2])})
+        assert np.isnan(m.g2c[1]) and np.isnan(m.omega1[1])
+        assert np.isfinite(m.g2c[[0, 2, 3, 4]]).all()
+
     def test_each_squid_energy_evaluated_once(self, monkeypatch):
         from couplerkit import transmon
 
@@ -347,7 +379,7 @@ class TestDomainHelperCalls:
 FIELD_NAMES = [f.name for f in fields(SystemModel)]
 FIELD_VALUES = st.one_of(
     st.floats(0.01, 10.0),
-    st.sampled_from([math.nan, 0.0, -0.0, -1.5]),
+    st.sampled_from([math.nan, 0.0, -0.0, -1.5, math.inf, -math.inf]),
 )
 
 
@@ -377,19 +409,21 @@ def field_inputs(draw):
 
 
 def broadcast_model_fields(values):
-    """The normalization of an array SystemModel as it was first written:
+    """The normalization of an array SystemModel, written out point by point:
     ``np.broadcast_arrays`` of the fields, NaN at every point with a NaN
     field, and a ValueError naming the first non-positive field of the first
-    such point.  Raises numpy's ValueError when the shapes do not broadcast."""
+    such point, or the first infinite coupling rate.  Raises numpy's
+    ValueError when the shapes do not broadcast."""
     table = np.array(np.broadcast_arrays(*values), dtype=float)
     table[:, np.isnan(table).any(axis=0)] = np.nan
     columns = table.reshape(len(values), -1)
     for point in range(columns.shape[1]):
-        for field in range(6):
-            if columns[field, point] <= 0:
-                raise ValueError(
-                    f"{FIELD_NAMES[field]} must be positive, got {columns[field, point]}"
-                )
+        for field in range(9):
+            value = columns[field, point]
+            if field < 6 and value <= 0:
+                raise ValueError(f"{FIELD_NAMES[field]} must be positive, got {value}")
+            if field >= 6 and np.isinf(value):
+                raise ValueError(f"{FIELD_NAMES[field]} must be finite, got {value}")
     return list(table)
 
 

@@ -17,6 +17,11 @@ more than the metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
 parent's median.  It reads ``unresolved`` when the parent's interquartile
 range is wider than that bound and not every run of the change beats every
 run of the parent: the runs spread too widely to call the metric unchanged.
+
+The last row, ``operations``, gives each side's median and quartiles of the
+operations a run attempted and their ratio, with no wins and no marks.  A run
+keeps every operation's output until its checks run, so read a
+``peak_rss_mb`` change against this row.
 """
 
 from __future__ import annotations
@@ -48,12 +53,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(metric: str, better: str, bound: float,
-              parent: list[float], change: list[float]) -> str:
-    """One table row: each side's median and quartiles, the ratio of the
-    medians, the pairs the change won and the row's marks."""
+def sides(name: str, parent: list[float], change: list[float]) -> str:
+    """The start of a table row: each side's median and quartiles and the
+    ratio of the medians."""
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
+    ratio = cm / pm if pm else float("nan")
+    return (f"{name:<18} {pm:>11.5g} [{p1:.5g}, {p3:.5g}]  {cm:>11.5g} [{c1:.5g}, {c3:.5g}]"
+            f"  {ratio:>7.4f}")
+
+
+def summarize(metric: str, better: str, bound: float,
+              parent: list[float], change: list[float]) -> str:
+    """One table row: ``sides``, the pairs the change won and the row's marks."""
+    p1, pm, p3 = quartiles(parent)
+    cm = quartiles(change)[1]
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     marks = []
@@ -65,9 +79,8 @@ def summarize(metric: str, better: str, bound: float,
         sign * (c - p) > 0 for c in change for p in parent
     ):
         marks.append("unresolved")
-    ratio = cm / pm if pm else float("nan")
-    return (f"{metric:<18} {pm:>11.5g} [{p1:.5g}, {p3:.5g}]  {cm:>11.5g} [{c1:.5g}, {c3:.5g}]"
-            f"  {ratio:>7.4f}  {wins:>2}/{len(parent)}{''.join('  ' + m for m in marks)}")
+    return (f"{sides(metric, parent, change)}  {wins:>2}/{len(parent)}"
+            f"{''.join('  ' + m for m in marks)}")
 
 
 def main(argv=None) -> int:
@@ -101,6 +114,8 @@ def main(argv=None) -> int:
         parent = [r["metrics"][metric]["value"] for r in runs["parent"]]
         change = [r["metrics"][metric]["value"] for r in runs["change"]]
         print(summarize(metric, m["better"], m["bound"], parent, change))
+    print(sides("operations", *([r["attempted"] for r in runs[side]]
+                                for side in ("parent", "change"))))
     failed = sum(r["failed"] for side in runs.values() for r in side)
     print(f"failed operations: {failed}; every run correct: "
           f"{all(r['correct'] for side in runs.values() for r in side)}")
