@@ -109,12 +109,11 @@ class SystemModel:
         points."""
         values = [getattr(self, name) for name in _FIELDS]
         if ndarray not in map(type, values):
-            for name, value in zip(_FIELDS, values):
-                if name in _RATES:
-                    if not math.isfinite(value):
-                        raise ValueError(f"{name} must be finite, got {value}")
-                elif not value > 0:
+            for i, (name, value) in enumerate(zip(_FIELDS, values)):
+                if i < 6 and not value > 0:
                     raise ValueError(f"{name} must be positive, got {value}")
+                if i >= 6 and not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
         table = np.empty((len(values), *np.broadcast(*values).shape))
         for i, value in enumerate(values):
             table[i] = value
@@ -128,7 +127,7 @@ class SystemModel:
         bad[6:] = np.isinf(columns[6:])
         if bad.any():
             point, field = np.argwhere(bad.T)[0]
-            rule = "finite" if _FIELDS[field] in _RATES else "positive"
+            rule = "finite" if field >= 6 else "positive"
             raise ValueError(f"{_FIELDS[field]} must be {rule}, got {columns[field, point]}")
 
     def swapped_qubits(self) -> "SystemModel":
@@ -145,7 +144,6 @@ class SystemModel:
 
 
 _FIELDS = tuple(f.name for f in fields(SystemModel))
-_RATES = _FIELDS[6:]
 
 
 def _checked_ej(e_c: float, e_j):
