@@ -39,6 +39,8 @@ FIT_PARAMETER_NAMES = (
 
 DEFAULT_FREE = ("g12_mhz", "g1c_g2c_mhz2")
 SIMPLEX_MAX_ITERATIONS = 4000
+# every row's residual when the model is not finite on some row
+INFEASIBLE_RESIDUAL_MHZ = 1e6
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,8 @@ def fit_g_vs_flux(
     ``free`` are held at their ``init`` values.  Deterministic for identical
     inputs.  Raises UnderdeterminedFitError when there are fewer rows than
     free parameters.  ``converged`` is True when the simplex or the kept
-    refinement converged; otherwise the best parameters so far are returned.
+    refinement converged and the returned parameters give a finite model on
+    every row; otherwise the best parameters so far are returned.
     """
     free = tuple(free)
     for name in free:
@@ -299,9 +302,9 @@ def fit_g_vs_flux(
             g = model_g_mhz(model_at(x), phi, w1, w2)
         except ValueError:
             # free coupler parameters can step outside the SQUID/transmon domain
-            return np.full(n, 1e6)
+            return np.full(n, INFEASIBLE_RESIDUAL_MHZ)
         if not np.isfinite(g).all():
-            return np.full(n, 1e6)
+            return np.full(n, INFEASIBLE_RESIDUAL_MHZ)
         res = np.empty(n)
         res[signed] = g[signed] - signed_g
         res[magnitude] = np.abs(g[magnitude]) - magnitude_g
@@ -343,6 +346,9 @@ def fit_g_vs_flux(
     else:
         res = residuals(best_x)
 
+    # parameters whose model is not finite on some row sit on the wall of
+    # every row: whatever the optimizers reported, that is no fit
+    converged = converged and not (res == INFEASIBLE_RESIDUAL_MHZ).all()
     params = model_at(best_x)
     rms = float(np.sqrt(np.mean(res**2)))
 

@@ -336,6 +336,19 @@ class TestClosedFormFloating:
         with pytest.raises(AssumptionViolationError, match="topology"):
             energies_closed_form_floating(grounded_coupler_design(True))
 
+    @pytest.mark.parametrize("changed, message", [
+        ({(0, 4): 85.0}, "coupler pad ground capacitances C03, C04 must be equal"),
+        ({(5, 6): 50.0}, "qubit shunt capacitances C12, C56 must be equal"),
+        ({(1, 4): 1.0}, "coupling C14 must be absent"),
+        ({(3, 6): 1.0}, "coupling C36 must be absent"),
+    ])
+    def test_assumption_messages(self, changed, message):
+        net = floating_net()
+        caps = {(a, b): v for a, b, v in net.capacitors} | changed
+        bad = CapNetwork(net.topology, tuple((a, b, v) for (a, b), v in caps.items()))
+        with pytest.raises(AssumptionViolationError, match=f"^closed-form assumptions violated: {message}$"):
+            energies_closed_form_floating(bad)
+
 
 @pytest.mark.parametrize("design, closed_form", [
     (floating_coupler_design, energies_closed_form_floating),
@@ -386,6 +399,13 @@ class TestClosedFormGrounded:
         ))
         with pytest.raises(AssumptionViolationError, match="C02, C03"):
             energies_closed_form_grounded(net)
+
+    def test_direct_qubit_qubit_rejected(self):
+        net = grounded_coupler_design(True)
+        bad = CapNetwork(net.topology, net.capacitors + ((1, 4, 0.5),))
+        with pytest.raises(AssumptionViolationError, match="^closed-form assumptions violated: "
+                           "direct qubit-qubit capacitor must be absent$"):
+            energies_closed_form_grounded(bad)
 
 
 class TestClassification:

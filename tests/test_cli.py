@@ -83,6 +83,40 @@ class TestEnergies:
         assert rc == 2
         assert "input error" in err
 
+    def test_isolated_coupler_is_a_library_error(self, tmp_path, capsys):
+        # coupler pads that touch only each other leave the coupler's free
+        # mode no capacitance: a CouplerKitError that main reports as "error:"
+        caps = [(0, 1, 110), (0, 2, 110), (0, 5, 110), (0, 6, 110),
+                (1, 2, 46), (5, 6, 46), (3, 4, 61)]
+        path = write_json(tmp_path, "net.json", {
+            "schema": 1, "topology": "floating-floating",
+            "capacitors": [{"a": a, "b": b, "fF": c} for a, b, c in caps],
+        })
+        rc, out, err = run(capsys, "energies", path)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: free-mode capacitance block is singular ")
+        assert err.count("\n") == 1
+
+    def test_grounded_design_prints_its_closed_form(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path, "net.json", netlist_to_dict(grounded_coupler_design(True))
+        )
+        rc, out, _ = run(capsys, "energies", path)
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "topology: grounded-floating"
+        assert lines[5].split() == ["e12", "0.00277427124", "0.00325029067", "0.171583597"]
+
+    def test_outer_pad_coupling_leaves_no_closed_form(self, tmp_path, capsys):
+        net = netlist_to_dict(floating_coupler_design(True))
+        net["capacitors"].append({"a": 1, "b": 3, "fF": 1.0})
+        rc, out, _ = run(capsys, "energies", write_json(tmp_path, "net.json", net))
+        assert rc == 0
+        lines = out.splitlines()
+        assert all(line.split()[2:] == ["-", "-"] for line in lines[2:8])
+        assert lines[8] == ("closed-form unavailable: closed-form assumptions violated: "
+                            "outer-pad coupling C13 must be absent")
+
 
 class TestSweep:
     def test_symmetric_band_g_crosses_zero_once(self, tmp_path, capsys):
@@ -504,6 +538,18 @@ class TestFit:
         assert rc == 0, err
         assert json.loads(out)["free"] == list(free)
 
+    def test_model_not_finite_on_a_row_is_not_converged(self, tmp_path, capsys):
+        # at half a flux quantum the junction-symmetric coupler SQUID has no
+        # Josephson energy, so no trial point gives a finite model
+        data_path, true = self.make_dataset(tmp_path, rows=12)
+        with open(data_path, "a") as f:
+            f.write("0.5,37.860373,-1,3.449,3.449\n")
+        rc, out, _ = run(capsys, "fit", data_path, "--config", self.fit_config(tmp_path, true))
+        assert rc == 0
+        result = json.loads(out)
+        assert (result["converged"], result["rms_residual_mhz"]) == (False, 1e6)
+        assert (result["g12_mhz"], result["n_evaluations"]) == (-6.0, 120)
+
     def test_refine_key_is_ignored(self, tmp_path, capsys):
         data_path, true = self.make_dataset(tmp_path, rows=12, noise=0.2)
         cfg = self.fit_config(tmp_path, true)
@@ -633,6 +679,18 @@ class TestRunConfigErrors:
         rc, out, err = run(capsys, command[0], "--config", path, *command[1:])
         assert out == ""
         assert_input_error(rc, err, text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{nope", ": invalid JSON: Expecting property name"),
+        ("[1, 2]", ": top level must be a JSON object"),
+    ])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_must_be_a_json_object(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        rc, out, err = run(capsys, command[0], "--config", str(path), *command[1:])
+        assert out == ""
+        assert_input_error(rc, err, f"input error: {path}{message}")
 
     def test_sweep_points_above_bound(self, tmp_path, capsys):
         cfg = model_run(sweep={"quantity": "g", "range": [2.77, 4.0], "points": 1_000_001})

@@ -414,19 +414,29 @@ class TestFindEvaluations:
         assert off_grid(floats, band)
 
 
+FINDERS = [
+    (find_zero_g, {}),
+    (find_zero_zz, {"backend": "perturbative"}),
+    (find_zero_zz, {"backend": "numeric"}),
+]
+
+
 class TestPrescanPoints:
     @pytest.mark.parametrize("points", [0, 1])
-    @pytest.mark.parametrize("find, backend", [
-        (find_zero_g, {}),
-        (find_zero_zz, {"backend": "perturbative"}),
-        (find_zero_zz, {"backend": "numeric"}),
-    ])
+    @pytest.mark.parametrize("find, backend", FINDERS)
     def test_fewer_than_two_points_rejected(self, find, backend, points):
         builder = device_flux_builder(ASYMMETRIC_DEVICE, resonant=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^prescan_points must be at least 2, got {points}$"):
                 find(builder, (4.4, 6.4), prescan_points=points, **backend)
+
+    @pytest.mark.parametrize("band", [(6.4, 4.4), (4.4, 4.4)])
+    @pytest.mark.parametrize("find, backend", FINDERS)
+    def test_band_must_be_increasing(self, find, backend, band):
+        builder = device_flux_builder(ASYMMETRIC_DEVICE, resonant=False)
+        with pytest.raises(ValueError, match=rf"^band must satisfy lo < hi, got \({band[0]}, {band[1]}\)$"):
+            find(builder, band, **backend)
 
 
 class TestMaskedPrescan:

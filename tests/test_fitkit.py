@@ -75,6 +75,16 @@ class TestDataset:
         with pytest.raises(ValueError, match=f"^{name} values must be positive$"):
             GFluxDataset(phi=np.arange(6.0), g_mhz=np.ones(6), sign=np.zeros(6), **omegas)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("phi", np.arange(6.0).reshape(2, 3), "^phi must be 1-d of common length$"),
+        ("g_mhz", np.array([1.0, 1.0, np.nan, 1.0, 1.0, 1.0]), "^g_mhz values must be finite$"),
+    ])
+    def test_columns_must_be_1d_and_finite(self, name, value, message):
+        columns = {"phi": np.arange(6.0), "g_mhz": np.ones(6), "sign": np.zeros(6),
+                   "omega1_ghz": np.full(6, 3.4), "omega2_ghz": np.full(6, 3.4)}
+        with pytest.raises(ValueError, match=message):
+            GFluxDataset(**{**columns, name: value})
+
     def test_csv_round_trip(self):
         data = true_dataset()
         again = GFluxDataset.from_csv(data.to_csv())
@@ -85,6 +95,16 @@ class TestDataset:
     def test_csv_header_checked(self):
         with pytest.raises(NetlistError, match="header"):
             GFluxDataset.from_csv("a,b,c\n1,2,3\n")
+
+    def test_csv_empty_text_rejected(self):
+        with pytest.raises(NetlistError, match="^empty dataset CSV$"):
+            GFluxDataset.from_csv("")
+
+    def test_csv_blank_lines_skipped(self):
+        text = true_dataset().to_csv()
+        lines = text.splitlines()
+        padded = "\n".join([lines[0], "", *lines[1:4], " , ,", *lines[4:], ""]) + "\n"
+        assert GFluxDataset.from_csv(padded).to_csv() == GFluxDataset.from_csv(text).to_csv()
 
     def test_csv_empty_sign_means_magnitude_only(self):
         text = (
@@ -181,6 +201,30 @@ class TestFit:
     def test_duplicate_free_parameter_rejected(self, free):
         with pytest.raises(ValueError, match=r"^free lists 'g12_mhz' more than once$"):
             fit_g_vs_flux(true_dataset(), TRUE, free=free)
+
+    def test_no_free_parameter_rejected(self):
+        with pytest.raises(ValueError, match="^at least one parameter must be free$"):
+            fit_g_vs_flux(true_dataset(), TRUE, free=())
+
+    def test_non_finite_initial_guess_rejected(self):
+        init = replace(TRUE, coupler_ec_ghz=math.nan)
+        with pytest.raises(ValueError, match="^initial guess coupler_ec_ghz is not finite$"):
+            fit_g_vs_flux(true_dataset(), init)
+
+    def test_model_not_finite_on_a_row_is_not_converged(self):
+        # a junction-symmetric coupler SQUID has no Josephson energy at half a
+        # flux quantum, so the model is NaN on every row at every trial point
+        # and the fit returns its initial guess on the infeasible wall
+        data = true_dataset(rows=12)
+        data = GFluxDataset(
+            phi=np.append(data.phi, math.pi), g_mhz=np.append(data.g_mhz, data.g_mhz[-1]),
+            sign=np.append(data.sign, -1.0), omega1_ghz=np.append(data.omega1_ghz, W1),
+            omega2_ghz=np.append(data.omega2_ghz, W2),
+        )
+        result = fit_g_vs_flux(data, INIT)
+        assert result.params == INIT
+        assert result.rms_residual_mhz == fitkit.INFEASIBLE_RESIDUAL_MHZ
+        assert (result.converged, result.n_evaluations, result.covariance) == (False, 120, {})
 
     def test_underdetermined_error_rows_vs_params(self):
         with pytest.raises(UnderdeterminedFitError):
