@@ -95,6 +95,13 @@ def _floor(denominators: dict, values: tuple) -> Sequence:
     return [np.where(poles, np.nan, v) for v in values]
 
 
+def _pole_sum(d1, d2, s1, s2):
+    """sum_j (1/Delta_j + 1/Sigma_j), the coupler-mediated exchange per unit
+    g1c g2c / 2: the one home of this sum, which ``g_net`` and the flux fit's
+    model both take.  Floats or arrays."""
+    return 1.0 / d1 + 1.0 / s1 + 1.0 / d2 + 1.0 / s2
+
+
 def g_net(m: SystemModel) -> EffectiveCoupling:
     """Net qubit-qubit coupling g = g12 - g_eff.
 
@@ -104,7 +111,7 @@ def g_net(m: SystemModel) -> EffectiveCoupling:
     d1, d2 = m.omegac - m.omega1, m.omegac - m.omega2
     s1, s2 = m.omegac + m.omega1, m.omegac + m.omega2
     d1, d2, s1, s2 = _floor({"Delta_1": d1, "Delta_2": d2}, (d1, d2, s1, s2))
-    g_eff = 0.5 * m.g1c * m.g2c * (1.0 / d1 + 1.0 / s1 + 1.0 / d2 + 1.0 / s2)
+    g_eff = 0.5 * m.g1c * m.g2c * _pole_sum(d1, d2, s1, s2)
     return EffectiveCoupling(
         g=m.g12 - g_eff, g_eff=g_eff, delta1=d1, delta2=d2, sigma1=s1, sigma2=s2
     )

@@ -5,6 +5,8 @@ The model ties the net coupling to the coupler flux bias through the SQUID:
     g(phi) = g12 - (P0 / Upsilon^2(phi) / 2) * sum_j (1/Delta_j + 1/Sigma_j)
 
 with P0 = g1c*g2c at zero flux and omega_c(phi) from the transmon formula.
+The suppression 1/Upsilon^2 is ``transmon``'s, and the pole sum is the one
+``effmodel.g_net`` takes, so the model is ``g_net`` of the flux-tuned model.
 Only the product P0 is identifiable from g(phi) data, never the individual
 qubit-coupler rates, so the product is the fit parameter and its square root
 is reported for convenience.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -22,9 +25,10 @@ import numpy as np
 from numpy import ndarray
 from scipy.optimize import least_squares, minimize
 
+from .effmodel import _pole_sum
 from .errors import NetlistError, UnderdeterminedFitError
 from .squid import SquidParams, ej_of_flux
-from .transmon import frequency_from_energies
+from .transmon import _product_suppression, frequency_from_energies
 
 CSV_HEADER = ["phi_over_phi0", "g_mhz", "sign", "omega1_ghz", "omega2_ghz"]
 
@@ -38,9 +42,16 @@ FIT_PARAMETER_NAMES = (
 )
 
 DEFAULT_FREE = ("g12_mhz", "g1c_g2c_mhz2")
+# the parameters that E_J(phi) and omega_c(phi) depend on
+COUPLER_PARAMETERS = FIT_PARAMETER_NAMES[2:]
 SIMPLEX_MAX_ITERATIONS = 4000
 # every row's residual when the model is not finite on some row
 INFEASIBLE_RESIDUAL_MHZ = 1e6
+
+
+class _NoFiniteStart(Exception):
+    """Ends a fit whose model is not finite at its initial guess while the
+    coupler is held; carries the first row where it is not."""
 
 
 @dataclass(frozen=True)
@@ -189,7 +200,8 @@ def model_g_mhz(params: CouplerFluxModel, phi, omega1_ghz, omega2_ghz) -> np.nda
 
     ``phi`` is a float or an array, and the qubit frequencies broadcast to its
     shape.  Three 1-d float arrays of one shape, as a fit passes them, are
-    used as they are.
+    used as they are.  The value is NaN where the coupler SQUID has no
+    Josephson energy (a junction-symmetric SQUID at half a flux quantum).
     """
     w1, w2 = omega1_ghz, omega2_ghz
     if not (
@@ -208,13 +220,12 @@ def model_g_mhz(params: CouplerFluxModel, phi, omega1_ghz, omega2_ghz) -> np.nda
     # Python floats take the math path of the flux chain: the bits of
     # np.float64 rows, at less cost
     ejs = np.array([ej_of_flux(squid, p) for p in phi.tolist()])
-    if (ejs <= 0).any():
-        return np.full(phi.shape, np.nan)
+    # a row without Josephson energy is NaN through the rest of the chain
+    ejs[ejs <= 0] = np.nan
     e_c = params.coupler_ec_ghz
     wc = np.array([frequency_from_energies(e_c, ej) for ej in ejs.tolist()])
-    # product scales as 1/Upsilon^2 = sqrt(EJ(phi)/EJ(0))
-    product_ghz2 = params.g1c_g2c_mhz2 * 1e-6 * np.sqrt(ejs / squid.ej_sum)
-    s = 1.0 / (wc - w1) + 1.0 / (wc + w1) + 1.0 / (wc - w2) + 1.0 / (wc + w2)
+    product_ghz2 = params.g1c_g2c_mhz2 * 1e-6 * _product_suppression(ejs, squid.ej_sum)
+    s = _pole_sum(wc - w1, wc - w2, wc + w1, wc + w2)
     g_ghz = params.g12_mhz * 1e-3 - 0.5 * product_ghz2 * s
     return g_ghz * 1e3
 
@@ -262,6 +273,11 @@ def fit_g_vs_flux(
     free parameters.  ``converged`` is True when the simplex or the kept
     refinement converged and the returned parameters give a finite model on
     every row; otherwise the best parameters so far are returned.
+
+    When no free parameter is in COUPLER_PARAMETERS and the model at ``init``
+    is not finite on some row, no step can make it finite: the fit warns
+    once, naming the first such row, and returns ``init`` after that one
+    evaluation, not converged.
     """
     free = tuple(free)
     for name in free:
@@ -297,6 +313,9 @@ def fit_g_vs_flux(
     signed_g = data.sign[signed] * data.g_mhz[signed]
     magnitude_g = data.g_mhz[magnitude]
 
+    # with the coupler held, whether the model is finite does not depend on x
+    coupler_held = not set(free).intersection(COUPLER_PARAMETERS)
+
     def residuals(x: np.ndarray) -> np.ndarray:
         try:
             g = model_g_mhz(model_at(x), phi, w1, w2)
@@ -304,6 +323,8 @@ def fit_g_vs_flux(
             # free coupler parameters can step outside the SQUID/transmon domain
             return np.full(n, INFEASIBLE_RESIDUAL_MHZ)
         if not np.isfinite(g).all():
+            if coupler_held and np.array_equal(x, x0):
+                raise _NoFiniteStart(int(np.flatnonzero(~np.isfinite(g))[0]))
             return np.full(n, INFEASIBLE_RESIDUAL_MHZ)
         res = np.empty(n)
         res[signed] = g[signed] - signed_g
@@ -314,17 +335,30 @@ def fit_g_vs_flux(
         return float(np.sum(residuals(x) ** 2))
 
     x0 = np.array([getattr(init, name) / scales[name] for name in free])
-    simplex = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": SIMPLEX_MAX_ITERATIONS,
-            "xatol": 1e-10,
-            "fatol": 1e-14,
-            "adaptive": True,
-        },
-    )
+    try:
+        simplex = minimize(
+            objective,
+            x0,
+            method="Nelder-Mead",
+            options={
+                "maxiter": SIMPLEX_MAX_ITERATIONS,
+                "xatol": 1e-10,
+                "fatol": 1e-14,
+                "adaptive": True,
+            },
+        )
+    except _NoFiniteStart as stop:
+        row = stop.args[0]
+        warnings.warn(
+            f"the model is not finite at the initial guess on row {row} "
+            f"(Phi/Phi0 = {phi[row] / (2.0 * math.pi):.6g}), and no free parameter "
+            "moves the coupler: returning the initial guess",
+            stacklevel=2,
+        )
+        return FitResult(
+            params=init, free=free, rms_residual_mhz=INFEASIBLE_RESIDUAL_MHZ,
+            converged=False, n_evaluations=1, covariance={},
+        )
     best_x = simplex.x
     n_evaluations = int(simplex.nfev)
     converged = bool(simplex.success)

@@ -8,10 +8,14 @@ counter-rotating terms are always included.  The product-basis index of
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, wraps
 
 import numpy as np
+import scipy
 from scipy.linalg.lapack import dsyevr
 
 from .errors import LabelingError
@@ -208,10 +212,47 @@ def _sector_matches(
     return _label_matches(block, rows)
 
 
+@cache
+def _blas_threads_local():
+    """OpenBLAS's ``openblas_set_num_threads_local`` from the library that
+    scipy's wheel bundles (``scipy.libs/libscipy_openblas*.so``), or None
+    where there is no such library."""
+    pattern = os.path.join(os.path.dirname(scipy.__file__) + ".libs", "libscipy_openblas*.so")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            set_local = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_local.argtypes, set_local.restype = [ctypes.c_int], ctypes.c_int
+        return set_local
+    return None
+
+
+def _on_one_blas_thread(fn):
+    """``fn`` with scipy's OpenBLAS on the calling thread only, and the
+    earlier thread count restored afterwards.  The small eigensolves gain
+    nothing from a second thread, which stalls them on a busy CPU, and with
+    8 or more levels per mode their bits can depend on the thread count."""
+
+    @wraps(fn)
+    def on_one_thread(*args, **kwargs):
+        set_local = _blas_threads_local()
+        if set_local is None:
+            return fn(*args, **kwargs)
+        old = set_local(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            set_local(old)
+
+    return on_one_thread
+
+
 _ZZ_LABELS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1))
 _ZZ_SECTORS = (((0, 0, 0), (1, 0, 1)), ((1, 0, 0), (0, 0, 1)))
 
 
+@_on_one_blas_thread
 def zz_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS):
     """ZZ strength w(101) - w(100) - w(001) + w(000) from diagonalization (GHz).
 
@@ -260,6 +301,7 @@ def zz_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS):
     return zeta if on_array else float(zeta[0])
 
 
+@_on_one_blas_thread
 def g_numeric(m: SystemModel, levels: tuple[int, int, int] = DEFAULT_LEVELS) -> float:
     """Half the splitting of the two qubit-dominated single-excitation states.
 

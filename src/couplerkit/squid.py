@@ -66,21 +66,6 @@ def ej_of_flux(p: SquidParams, phi_e):
     return sqrt(maximum(arg, 0.0))
 
 
-def phi0_of_flux(p: SquidParams, phi_e: float) -> float:
-    """Junction-phase offset phi_0 at reduced flux phi_e (radians).
-
-    Equals atan[(EJS - EJL)/(EJS + EJL) tan(phi_e/2)] on (-pi, pi) with
-    phi_0(0) = 0; implemented with atan2 on the half-angle so the branch is
-    continuous at phi_e = +-pi and beyond (the offset winds rather than
-    jumping).  For a symmetric SQUID the offset is identically zero.
-    """
-    d = p.asymmetry
-    if d == 0.0:
-        return 0.0
-    half = 0.5 * phi_e
-    return -math.atan2(d * math.sin(half), math.cos(half))
-
-
 def _reachable(p: SquidParams, ej):
     """``ej`` where the SQUID reaches it, in [EJL - EJS, EJL + EJS]: the one
     out-of-domain rule of this module.  Outside that range a float raises

@@ -13,8 +13,9 @@ coupler frequency is not (a coupler SQUID tuned close to Phi0/2).  On an
 array every entry is computed with the same operations, so it has the bits
 of the float call, and an entry where the float call would raise
 FluxDomainError is NaN instead; any other error still raises.  Each rule is
-written once: ``_checked_ej`` holds the Josephson-energy rule and
-``_coupler`` the coupler-frequency rule.
+written once: ``_checked_ej`` holds the Josephson-energy rule, ``_coupler``
+the coupler-frequency rule and ``_product_suppression`` the coupler's flux
+law for g1c and g2c.
 """
 
 from __future__ import annotations
@@ -289,12 +290,22 @@ def system_model(
     )
 
 
+def _product_suppression(ej, ej_max: float):
+    """1/Upsilon^2 = (ej/ej_max)^(1/2), the factor by which tuning the coupler
+    SQUID from ``ej_max`` down to ``ej`` suppresses g1c*g2c.  ``tune_coupler``
+    scales g1c and g2c by its square root, and the flux fit's model scales
+    its product by it.  ``ej`` is a float or an array."""
+    sqrt = np.sqrt if type(ej) is ndarray else math.sqrt
+    return sqrt(ej / ej_max)
+
+
 def tune_coupler(base: SystemModel, e_c: float, ej_max: float, ej: float) -> SystemModel:
     """``base`` with its coupler SQUID tuned from ``ej_max`` down to ``ej``.
 
     The coupler frequency and anharmonicity follow from (``e_c``, ``ej``);
     g1c and g2c, given in ``base`` at ``ej_max``, are suppressed by
-    1/Upsilon = (ej/ej_max)^(1/4).  Qubit parameters and g12 are unchanged.
+    1/Upsilon = (ej/ej_max)^(1/4), the square root of
+    ``_product_suppression``.  Qubit parameters and g12 are unchanged.
     A coupler frequency that is not positive is a FluxDomainError (NaN on an
     array), as a Josephson energy that is not positive is.
     """
@@ -302,7 +313,7 @@ def tune_coupler(base: SystemModel, e_c: float, ej_max: float, ej: float) -> Sys
         raise ValueError(f"ej_max must be positive, got {ej_max}")
     ej, sqrt = _checked_ej(e_c, ej)
     omegac, etac = _coupler(e_c, ej, sqrt)
-    scale = sqrt(sqrt(ej / ej_max))
+    scale = sqrt(_product_suppression(ej, ej_max))
     return SystemModel(
         omega1=base.omega1, omega2=base.omega2, omegac=omegac,
         eta1=base.eta1, eta2=base.eta2, etac=etac,

@@ -1,6 +1,7 @@
 """The marks of ``tools/bench_pairs.py``'s table on synthetic runs; no
 benchmark runs here."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -75,3 +76,58 @@ def test_operations_row_has_sides_and_ratio_but_no_marks():
     # a metric row starts with the same columns
     metric = bench_pairs.summarize("operations", "lower", 0.24, parent, change)
     assert metric.startswith(row + "  ")
+
+
+def synthetic_run(side, seed):
+    """A detail and a result line as ``perfbench/run.py`` prints them: the
+    change is 10% faster on find_s and equal on fit_s."""
+    find_s = (0.9 if side == "change" else 1.0) * (1.0 + seed / 100)
+    detail = {"workload": "synthetic", "seed": seed,
+              "environment": {"nproc": 2, "python": "3.x", "side": side}}
+    result = {"correct": True, "failed": 0, "attempted": 1000 + seed,
+              "metrics": {"find_s": {"value": find_s, "unit": "s"},
+                          "fit_s": {"value": 2.0, "unit": "s"}}}
+    return detail, result
+
+
+def test_json_writes_what_is_printed(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "find_s", "better": "lower", "bound": 0.24},
+        {"name": "fit_s", "better": "lower", "bound": 0.24},
+        {"name": "cli_s", "better": "lower", "bound": 0.24},
+    ]}))
+    sides = {parent: "parent", change: "change"}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed, seconds: synthetic_run(sides[checkout], seed))
+    out = tmp_path / "BENCH_test.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "synthetic",
+                             "--pairs", "4", "--seed", "7", "--json", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    written = json.loads(out.read_text())
+
+    assert (written["workload"], written["pairs"], written["first_seed"]) == ("synthetic", 4, 7)
+    # every run in the order it ran, parent first in even pairs
+    assert [(r["pair"], r["seed"], r["side"]) for r in written["runs"]] == [
+        (0, 7, "parent"), (0, 7, "change"), (1, 8, "change"), (1, 8, "parent"),
+        (2, 9, "parent"), (2, 9, "change"), (3, 10, "change"), (3, 10, "parent")]
+    for run in written["runs"]:
+        detail, result = synthetic_run(run["side"], run["seed"])
+        assert run["machine"] == detail["environment"] and run["result"] == result
+
+    # cli_s is in no run, so it has no row, as in the printed table
+    assert list(written["metrics"]) == ["find_s", "fit_s"]
+    find = written["metrics"]["find_s"]
+    assert find["parent"]["median"] == pytest.approx(1.085)
+    assert find["ratio"] == pytest.approx(0.9)
+    assert (find["wins"], find["pairs"], find["marks"]) == (4, 4, ["gain"])
+    assert written["metrics"]["fit_s"]["marks"] == [] and written["metrics"]["fit_s"]["wins"] == 0
+    assert written["operations"]["change"]["median"] == 1008.5
+    assert (written["failed_operations"], written["every_run_correct"]) == (0, True)
+
+    # the printed rows are the written ones
+    rows = [bench_pairs.format_row(name, row) for name, row in written["metrics"].items()]
+    rows.append(bench_pairs.format_sides("operations", written["operations"]))
+    assert printed[-4:-1] == rows

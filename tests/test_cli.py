@@ -540,15 +540,21 @@ class TestFit:
 
     def test_model_not_finite_on_a_row_is_not_converged(self, tmp_path, capsys):
         # at half a flux quantum the junction-symmetric coupler SQUID has no
-        # Josephson energy, so no trial point gives a finite model
+        # Josephson energy, so no trial point gives a finite model: the fit
+        # stops after one evaluation and says why
         data_path, true = self.make_dataset(tmp_path, rows=12)
         with open(data_path, "a") as f:
             f.write("0.5,37.860373,-1,3.449,3.449\n")
-        rc, out, _ = run(capsys, "fit", data_path, "--config", self.fit_config(tmp_path, true))
+        rc, out, err = run(capsys, "fit", data_path, "--config", self.fit_config(tmp_path, true))
         assert rc == 0
         result = json.loads(out)
         assert (result["converged"], result["rms_residual_mhz"]) == (False, 1e6)
-        assert (result["g12_mhz"], result["n_evaluations"]) == (-6.0, 120)
+        assert (result["g12_mhz"], result["n_evaluations"]) == (-6.0, 1)
+        assert err == (
+            "warning: the model is not finite at the initial guess on row 12 "
+            "(Phi/Phi0 = 0.5), and no free parameter moves the coupler: "
+            "returning the initial guess\n"
+        )
 
     def test_refine_key_is_ignored(self, tmp_path, capsys):
         data_path, true = self.make_dataset(tmp_path, rows=12, noise=0.2)

@@ -1,17 +1,21 @@
 import math
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from couplerkit import fitkit
+from couplerkit import fitkit, presets
 from couplerkit import (
     CouplerFluxModel,
     GFluxDataset,
     NetlistError,
     UnderdeterminedFitError,
     ej_for_frequency,
+    ej_of_flux,
     fit_g_vs_flux,
+    frequency_from_energies,
+    g_net,
     model_g_mhz,
     synth_g_dataset,
 )
@@ -41,6 +45,29 @@ def true_dataset(noise=0.0, seed=0, with_signs=True, rows=len(PHI), mixed=False)
         sign[::3] = 0.0
         data = replace(data, sign=sign)
     return data
+
+
+def with_half_flux_row(data, w=W1):
+    """``data`` with one more signed row at Phi/Phi0 = 0.5, where a
+    junction-symmetric coupler SQUID has no Josephson energy."""
+    return GFluxDataset(
+        phi=np.append(data.phi, math.pi), g_mhz=np.append(data.g_mhz, data.g_mhz[-1]),
+        sign=np.append(data.sign, -1.0), omega1_ghz=np.append(data.omega1_ghz, w),
+        omega2_ghz=np.append(data.omega2_ghz, w),
+    )
+
+
+def count_model_calls(monkeypatch) -> list[int]:
+    """A one-item list that counts the fit's calls of ``model_g_mhz``."""
+    calls = [0]
+    model = fitkit.model_g_mhz
+
+    def counted(*args):
+        calls[0] += 1
+        return model(*args)
+
+    monkeypatch.setattr(fitkit, "model_g_mhz", counted)
+    return calls
 
 
 class TestDataset:
@@ -213,18 +240,48 @@ class TestFit:
 
     def test_model_not_finite_on_a_row_is_not_converged(self):
         # a junction-symmetric coupler SQUID has no Josephson energy at half a
-        # flux quantum, so the model is NaN on every row at every trial point
-        # and the fit returns its initial guess on the infeasible wall
-        data = true_dataset(rows=12)
-        data = GFluxDataset(
-            phi=np.append(data.phi, math.pi), g_mhz=np.append(data.g_mhz, data.g_mhz[-1]),
-            sign=np.append(data.sign, -1.0), omega1_ghz=np.append(data.omega1_ghz, W1),
-            omega2_ghz=np.append(data.omega2_ghz, W2),
-        )
-        result = fit_g_vs_flux(data, INIT)
+        # flux quantum, so with the coupler held no trial point gives a finite
+        # model: the fit returns its initial guess after one evaluation
+        data = with_half_flux_row(true_dataset(rows=12))
+        with pytest.warns(UserWarning, match=(
+            r"^the model is not finite at the initial guess on row 12 "
+            r"\(Phi/Phi0 = 0\.5\), and no free parameter moves the coupler: "
+            r"returning the initial guess$"
+        )) as seen:
+            result = fit_g_vs_flux(data, INIT)
+        assert len(seen) == 1 and seen[0].filename == __file__
         assert result.params == INIT
         assert result.rms_residual_mhz == fitkit.INFEASIBLE_RESIDUAL_MHZ
-        assert (result.converged, result.n_evaluations, result.covariance) == (False, 120, {})
+        assert (result.converged, result.n_evaluations, result.covariance) == (False, 1, {})
+
+    def test_asymmetric_device_rows_on_the_wall_return_at_once(self, monkeypatch):
+        # 11 signed rows of the asymmetric reference device and one row at
+        # Phi/Phi0 = 0.5: one model evaluation, where 120 evaluations once
+        # searched the wall
+        device = presets.ASYMMETRIC_DEVICE
+        true = CouplerFluxModel(
+            g12_mhz=device.g12 * 1e3, g1c_g2c_mhz2=device.g1c_g2c * 1e6,
+            coupler_ec_ghz=device.coupler_ec,
+            coupler_ej_sum_ghz=device.coupler_squid.ej_sum,
+        )
+        w = device.resonance
+        data = with_half_flux_row(
+            synth_g_dataset(true, np.linspace(0.0, 0.3 * 2 * math.pi, 11), w, w), w)
+        calls = count_model_calls(monkeypatch)
+        with pytest.warns(UserWarning, match=r"on row 11 \(Phi/Phi0 = 0\.5\)"):
+            result = fit_g_vs_flux(data, true)
+        assert (result.params, result.converged, result.n_evaluations) == (true, False, 1)
+        assert calls == [1]
+
+    def test_free_coupler_parameter_searches_off_the_wall(self):
+        # a free asymmetry moves E_J(phi) off zero, so the search runs and
+        # nothing is warned
+        data = with_half_flux_row(true_dataset(rows=12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit_g_vs_flux(data, INIT, free=FREE_2 + ("coupler_asymmetry",))
+        assert result.n_evaluations > 1
+        assert result.rms_residual_mhz < fitkit.INFEASIBLE_RESIDUAL_MHZ
 
     def test_underdetermined_error_rows_vs_params(self):
         with pytest.raises(UnderdeterminedFitError):
@@ -308,17 +365,9 @@ def test_model_evaluations_beyond_the_count(monkeypatch, free, with_signs):
     # LM's finite-difference Jacobian (one here), the Jacobian LM returns and
     # one final residual, never once per simplex iteration
     data = true_dataset(noise=0.1, seed=4, with_signs=with_signs)
-    calls = 0
-    model = fitkit.model_g_mhz
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return model(*args)
-
-    monkeypatch.setattr(fitkit, "model_g_mhz", counted)
+    calls = count_model_calls(monkeypatch)
     result = fit_g_vs_flux(data, INIT, free=free)
-    assert result.n_evaluations <= calls <= result.n_evaluations + len(free) + 4
+    assert result.n_evaluations <= calls[0] <= result.n_evaluations + len(free) + 4
 
 
 # (noise, seed, with_signs, free, init) and the fit's float.hex values: params
@@ -398,7 +447,29 @@ def test_model_input_contract():
             == model_g_mhz(TRUE, phi, np.full(6, 3.0), np.full(6, 3.0)).tobytes())
     grid = model_g_mhz(TRUE, phi.reshape(2, 3), W1, W2)
     assert grid.shape == (2, 3) and grid.tobytes() == want.tobytes()
+    # a row where the coupler SQUID has no Josephson energy is NaN on its own
+    half = model_g_mhz(TRUE, np.append(phi, math.pi), W1, W2)
+    assert half[:6].tobytes() == want.tobytes() and np.isnan(half[6])
     for w1, w2 in ((np.full(5, W1), W2), (np.full(6, W1), np.full(7, W2)),
                    (np.full((6, 2), W1), np.full(6, W2))):
         with pytest.raises(ValueError):
             model_g_mhz(TRUE, phi, w1, w2)
+
+
+@pytest.mark.parametrize("device", [presets.SYMMETRIC_DEVICE, presets.ASYMMETRIC_DEVICE],
+                         ids=lambda d: d.name)
+def test_fit_model_is_the_device_route_g(device):
+    # the fit's g(phi) is g_net of the device builder's flux-tuned model at
+    # the coupler frequency of each flux: one suppression law, one pole sum
+    squid = device.coupler_squid
+    params = CouplerFluxModel(
+        g12_mhz=device.g12 * 1e3, g1c_g2c_mhz2=device.g1c_g2c * 1e6,
+        coupler_ec_ghz=device.coupler_ec, coupler_ej_sum_ghz=squid.ej_sum,
+    )
+    phi = np.linspace(0.0, 0.4 * 2 * math.pi, 41)
+    wc = frequency_from_energies(device.coupler_ec, ej_of_flux(squid, phi))
+    route = 1e3 * g_net(presets.device_flux_builder(device, True)(wc)).g
+    w = device.resonance
+    fit = model_g_mhz(params, phi, w, w)
+    assert np.isfinite(route).all()
+    assert np.abs(fit - route).max() <= 1e-12 * abs(params.g12_mhz)

@@ -1,6 +1,11 @@
+import glob
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,3 +383,32 @@ def test_full_solve_fallback_matches_reference(monkeypatch, device):
         ref, failure, _, _ = _reference_zz(m, levels)
         _assert_matches_reference(m, levels, ref, failure)
     assert fallback_answers > 0
+
+
+# ζ on the detuned asymmetric device at 8 levels per mode, where the blocks
+# (256 states) are large enough for OpenBLAS to split its kernels over threads
+THREAD_PROBE = """
+import numpy as np
+from couplerkit import presets, zz_numeric
+builder = presets.device_flux_builder(presets.ASYMMETRIC_DEVICE, resonant=False)
+for wc in np.linspace(4.8, 6.1, 8).tolist():
+    print(zz_numeric(builder(wc), (8, 8, 8)).hex())
+"""
+
+
+def test_zz_numeric_bits_do_not_depend_on_the_blas_thread_count():
+    import scipy
+
+    libs = os.path.dirname(scipy.__file__) + ".libs"
+    if not glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        pytest.skip(f"scipy bundles no OpenBLAS in {libs}, so the thread count is not pinned")
+    src = str(Path(numdiag.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout.split())
+    assert len(outputs[0]) == 8
+    assert outputs[0] == outputs[1]

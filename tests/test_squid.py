@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from couplerkit import FluxDomainError, SquidParams, ej_of_flux, flux_for_ej, \
-    phase_from_flux_ratio, phi0_of_flux
+    phase_from_flux_ratio
 
 ASYM = SquidParams(ej_large=12.0, ej_small=8.0)
 
@@ -54,33 +54,6 @@ class TestEjOfFlux:
 
     def test_flux_ratio_conversion(self):
         assert phase_from_flux_ratio(0.5) == pytest.approx(math.pi)
-
-
-class TestPhi0:
-    def test_zero_at_zero_flux(self):
-        assert phi0_of_flux(ASYM, 0.0) == 0.0
-
-    def test_symmetric_squid_always_zero(self):
-        sym = SquidParams(7.0, 7.0)
-        for phi in np.linspace(-6, 6, 25):
-            assert phi0_of_flux(sym, phi) == 0.0
-
-    def test_quarter_period_value(self):
-        # atan(-0.2 * tan(pi/4)) = atan(-0.2)
-        assert phi0_of_flux(ASYM, math.pi / 2) == pytest.approx(
-            math.atan(-0.2), rel=1e-12
-        )
-
-    def test_continuous_inside_principal_interval(self):
-        # a branch jump would show as a ~pi/2 step; smooth slope stays small
-        phis = np.linspace(-math.pi + 1e-6, math.pi - 1e-6, 4001)
-        vals = np.array([phi0_of_flux(ASYM, p) for p in phis])
-        assert np.max(np.abs(np.diff(vals))) < 0.01
-
-    def test_continuous_through_pi(self):
-        phis = np.linspace(math.pi - 0.2, math.pi + 0.2, 801)
-        vals = np.array([phi0_of_flux(ASYM, p) for p in phis])
-        assert np.max(np.abs(np.diff(vals))) < 1e-2
 
 
 class TestFluxForEj:

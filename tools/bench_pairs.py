@@ -22,6 +22,11 @@ The last row, ``operations``, gives each side's median and quartiles of the
 operations a run attempted and their ratio, with no wins and no marks.  A run
 keeps every operation's output until its checks run, so read a
 ``peak_rss_mb`` change against this row.
+
+``--json FILE`` also writes what is printed: every run's result line with
+its pair, seed and side and the machine fields (``environment``) of its
+detail line; each metric's medians, quartiles, ratio, wins and marks; the
+operations row; the failed operations and whether every run was correct.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``; its result line."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One ``perfbench/run.py`` run in ``checkout``: its detail line and its
+    result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
@@ -43,7 +49,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited "
                          f"{proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    detail, result = proc.stdout.strip().splitlines()[-2:]
+    return json.loads(detail), json.loads(result)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -53,21 +60,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def sides(name: str, parent: list[float], change: list[float]) -> str:
-    """The start of a table row: each side's median and quartiles and the
-    ratio of the medians."""
-    p1, pm, p3 = quartiles(parent)
-    c1, cm, c3 = quartiles(change)
-    ratio = cm / pm if pm else float("nan")
-    return (f"{name:<18} {pm:>11.5g} [{p1:.5g}, {p3:.5g}]  {cm:>11.5g} [{c1:.5g}, {c3:.5g}]"
-            f"  {ratio:>7.4f}")
+def compare_sides(parent: list[float], change: list[float]) -> dict:
+    """Each side's median and quartiles and the ratio of the medians."""
+    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    return {"parent": {"median": pm, "q1": p1, "q3": p3},
+            "change": {"median": cm, "q1": c1, "q3": c3},
+            "ratio": cm / pm if pm else float("nan")}
 
 
-def summarize(metric: str, better: str, bound: float,
-              parent: list[float], change: list[float]) -> str:
-    """One table row: ``sides``, the pairs the change won and the row's marks."""
-    p1, pm, p3 = quartiles(parent)
-    cm = quartiles(change)[1]
+def judge(better: str, bound: float, parent: list[float], change: list[float]) -> dict:
+    """``compare_sides``, the pairs the change won and the metric's marks."""
+    row = compare_sides(parent, change)
+    p1, pm, p3 = (row["parent"][k] for k in ("q1", "median", "q3"))
+    cm = row["change"]["median"]
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     marks = []
@@ -79,8 +84,50 @@ def summarize(metric: str, better: str, bound: float,
         sign * (c - p) > 0 for c in change for p in parent
     ):
         marks.append("unresolved")
-    return (f"{sides(metric, parent, change)}  {wins:>2}/{len(parent)}"
-            f"{''.join('  ' + m for m in marks)}")
+    return {**row, "better": better, "bound": bound, "wins": wins,
+            "pairs": len(parent), "marks": marks}
+
+
+def format_sides(name: str, row: dict) -> str:
+    """The start of a table row from ``compare_sides``."""
+    p, c = row["parent"], row["change"]
+    return (f"{name:<18} {p['median']:>11.5g} [{p['q1']:.5g}, {p['q3']:.5g}]  "
+            f"{c['median']:>11.5g} [{c['q1']:.5g}, {c['q3']:.5g}]  {row['ratio']:>7.4f}")
+
+
+def format_row(name: str, row: dict) -> str:
+    """One table row from ``judge``: the sides, the wins and the marks."""
+    return (f"{format_sides(name, row)}  {row['wins']:>2}/{row['pairs']}"
+            f"{''.join('  ' + m for m in row['marks'])}")
+
+
+def sides(name: str, parent: list[float], change: list[float]) -> str:
+    return format_sides(name, compare_sides(parent, change))
+
+
+def summarize(metric: str, better: str, bound: float,
+              parent: list[float], change: list[float]) -> str:
+    return format_row(metric, judge(better, bound, parent, change))
+
+
+def tabulate(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """The table of ``runs`` (records of ``main``): a ``judge`` row for each
+    metric that every run reports, the operations row, the failed
+    operations and whether every run was correct."""
+    results = {side: [r["result"] for r in runs if r["side"] == side]
+               for side in ("parent", "change")}
+    table = {}
+    for metric, m in metrics.items():
+        if all(metric in r["metrics"] for side in results.values() for r in side):
+            parent, change = ([r["metrics"][metric]["value"] for r in results[side]]
+                              for side in ("parent", "change"))
+            table[metric] = judge(m["better"], m["bound"], parent, change)
+    operations = compare_sides(*([r["attempted"] for r in results[side]]
+                                 for side in ("parent", "change")))
+    every = [r for side in results.values() for r in side]
+    return {"metrics": table, "operations": operations,
+            "failed_operations": sum(r["failed"] for r in every),
+            "every_run_correct": all(r["correct"] for r in every)}
 
 
 def main(argv=None) -> int:
@@ -91,34 +138,36 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     p.add_argument("--seconds", type=float, default=40.0)
+    p.add_argument("--json", type=Path, metavar="FILE",
+                   help="also write every run and the table to FILE")
     args = p.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
 
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    runs = []
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(getattr(args, side), args.workload, seed, args.seconds)
-            runs[side].append(result)
+            detail, result = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            runs.append({"pair": i, "seed": seed, "side": side,
+                         "machine": detail["environment"], "result": result})
             values = " ".join(f"{k}={m['value']:.6g}" for k, m in result["metrics"].items())
             print(f"pair {i} seed {seed} {side:<6} correct={result['correct']} "
                   f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
 
+    table = tabulate(runs, metrics)
     print(f"\n{args.workload}: {args.pairs} pairs, {args.seconds:g} s runs; "
           f"median [q1, q3] of parent, then change; change/parent; change wins")
-    for metric, m in metrics.items():
-        if any(metric not in r["metrics"] for side in runs.values() for r in side):
-            continue
-        parent = [r["metrics"][metric]["value"] for r in runs["parent"]]
-        change = [r["metrics"][metric]["value"] for r in runs["change"]]
-        print(summarize(metric, m["better"], m["bound"], parent, change))
-    print(sides("operations", *([r["attempted"] for r in runs[side]]
-                                for side in ("parent", "change"))))
-    failed = sum(r["failed"] for side in runs.values() for r in side)
-    print(f"failed operations: {failed}; every run correct: "
-          f"{all(r['correct'] for side in runs.values() for r in side)}")
+    for metric, row in table["metrics"].items():
+        print(format_row(metric, row))
+    print(format_sides("operations", table["operations"]))
+    print(f"failed operations: {table['failed_operations']}; every run correct: "
+          f"{table['every_run_correct']}")
+    if args.json:
+        args.json.write_text(json.dumps(
+            {"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
+             "first_seed": args.seed, "runs": runs, **table}, indent=1) + "\n")
     return 0
 
 
