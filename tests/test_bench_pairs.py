@@ -14,9 +14,12 @@ import bench_pairs  # noqa: E402
 PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1, 99.9]
 
 
+def summarize(metric, better, bound, parent, change):
+    return bench_pairs.format_row(metric, bench_pairs.judge(better, bound, parent, change))
+
+
 def marks(better, bound, parent, change):
-    row = bench_pairs.summarize("metric", better, bound, parent, change)
-    return row.split("/10")[1].split()
+    return summarize("metric", better, bound, parent, change).split("/10")[1].split()
 
 
 @pytest.mark.parametrize("better, change, want", [
@@ -58,7 +61,7 @@ def test_spread_inside_bound_is_resolved():
 
 
 def test_row_reports_medians_ratio_and_wins():
-    row = bench_pairs.summarize("find_s", "lower", 0.24, PARENT, [0.9 * p for p in PARENT])
+    row = summarize("find_s", "lower", 0.24, PARENT, [0.9 * p for p in PARENT])
     fields = row.split()
     assert fields[0] == "find_s"
     assert float(fields[1]) == pytest.approx(100.0)
@@ -68,13 +71,13 @@ def test_row_reports_medians_ratio_and_wins():
 def test_operations_row_has_sides_and_ratio_but_no_marks():
     parent = [5000, 5100, 4900, 5050, 4950]
     change = [6000, 6100, 5900, 6050, 5950]
-    row = bench_pairs.sides("operations", parent, change)
+    row = bench_pairs.format_sides("operations", bench_pairs.compare_sides(parent, change))
     fields = row.replace("[", " ").replace("]", " ").replace(",", " ").split()
     assert fields[0] == "operations"
     assert [float(f) for f in fields[1:7]] == [5000, 4950, 5050, 6000, 5950, 6050]
     assert fields[7] == "1.2000" and len(fields) == 8
     # a metric row starts with the same columns
-    metric = bench_pairs.summarize("operations", "lower", 0.24, parent, change)
+    metric = summarize("operations", "lower", 0.24, parent, change)
     assert metric.startswith(row + "  ")
 
 

@@ -403,12 +403,12 @@ def test_zz_numeric_bits_do_not_depend_on_the_blas_thread_count():
     if not glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
         pytest.skip(f"scipy bundles no OpenBLAS in {libs}, so the thread count is not pinned")
     src = str(Path(numdiag.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
-                              capture_output=True, text=True, check=True)
+                              capture_output=True, text=True, check=True, timeout=300)
         outputs.append(proc.stdout.split())
     assert len(outputs[0]) == 8
     assert outputs[0] == outputs[1]

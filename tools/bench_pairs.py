@@ -101,15 +101,6 @@ def format_row(name: str, row: dict) -> str:
             f"{''.join('  ' + m for m in row['marks'])}")
 
 
-def sides(name: str, parent: list[float], change: list[float]) -> str:
-    return format_sides(name, compare_sides(parent, change))
-
-
-def summarize(metric: str, better: str, bound: float,
-              parent: list[float], change: list[float]) -> str:
-    return format_row(metric, judge(better, bound, parent, change))
-
-
 def tabulate(runs: list[dict], metrics: dict[str, dict]) -> dict:
     """The table of ``runs`` (records of ``main``): a ``judge`` row for each
     metric that every run reports, the operations row, the failed
